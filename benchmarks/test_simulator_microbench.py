@@ -6,12 +6,14 @@ functional executor must stream at NumPy-reduction speed.
 """
 
 import numpy as np
+import pytest
 
-from repro.core.cases import C1
+from repro.core.cases import C1, C3
 from repro.gpu.exec_model import execute_reduction
 from repro.gpu.kernels import ReductionKernel
 from repro.gpu.perf import estimate_kernel_time
 from repro.hardware import hopper_gpu
+from repro.openmp.heuristics import default_num_teams
 from repro.openmp.runtime import LaunchGeometry
 
 GPU = hopper_gpu()
@@ -22,6 +24,18 @@ KERNEL = ReductionKernel(
     elements_per_iteration=4,
     element_type="int32",
     result_type="int32",
+)
+# The paper's baseline co-execution kernel (Listing 2): the default grid
+# M/128 of the declared size leaves one element per thread at the
+# 4 Mi-element functional cap.
+BASELINE_KERNEL = ReductionKernel(
+    name="baseline",
+    geometry=LaunchGeometry(grid=default_num_teams(C3.elements, 128),
+                            block=128, from_clause=False),
+    elements=C3.elements,
+    elements_per_iteration=1,
+    element_type="float32",
+    result_type="float32",
 )
 
 
@@ -40,3 +54,14 @@ def test_functional_executor_throughput(benchmark):
     assert result == data.sum(dtype=np.int32)
     # Vectorized reduceat path: >100 M elements/s is comfortable.
     assert benchmark.stats["mean"] < (1 << 20) / 1e8
+
+
+def test_baseline_coexec_executor_throughput(benchmark):
+    n = 1 << 22
+    data = np.random.default_rng(0).random(n).astype(np.float32)
+    result = benchmark(execute_reduction, data, BASELINE_KERNEL)
+    assert float(result) == pytest.approx(
+        float(data.sum(dtype=np.float64)), rel=1e-5)
+    # Same bound as above.  Every thread owns one element here, so any
+    # per-thread index work costs as much as the reduction itself.
+    assert benchmark.stats["mean"] < n / 1e8

@@ -10,7 +10,9 @@ Beyond ``+`` the host implements the same identifier families as the
 device executor (:mod:`repro.gpu.exec_model`): the implicit ufunc set,
 ``argmax`` (first index of the global maximum — geometry independent, so
 it is computed directly), and two-array ``dot`` (products widened to R,
-then the ``+`` chunking).
+then the ``+`` chunking).  An empty input reduces to what the device
+executor returns for it: the identifier's identity, ``-1`` for argmax and
+``0`` for dot.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from ..dtypes import scalar_type
 from ..errors import UnsupportedReductionError
 from ..hardware.spec import CpuSpec
+from ..openmp.reduction_ops import get_reduction_op
 from ..telemetry.state import span as tele_span
 
 __all__ = ["execute_host_reduction"]
@@ -54,7 +57,8 @@ def execute_host_reduction(
         raise ValueError(f"expected a 1-D array, got shape {data.shape}")
     with tele_span("execute_host_reduction", category="cpu",
                    elements=int(data.size), cores=cpu.cores):
-        rtype = scalar_type(result_type).numpy
+        result_type = scalar_type(result_type)
+        rtype = result_type.numpy
         if identifier == "dot":
             if second is None:
                 raise UnsupportedReductionError(
@@ -68,13 +72,10 @@ def execute_host_reduction(
         if data.size == 0:
             if identifier == "argmax":
                 return rtype.type(-1)
-            if identifier in ("min", "max"):
-                info = (np.iinfo(rtype) if np.issubdtype(rtype, np.integer)
-                        else None)
-                if identifier == "max":
-                    return rtype.type(info.min) if info else rtype.type(-np.inf)
-                return rtype.type(info.max) if info else rtype.type(np.inf)
-            return rtype.type(0)
+            if identifier == "dot":
+                return rtype.type(0)
+            op = get_reduction_op(identifier, result_type)
+            return rtype.type(op.identity_for(result_type))
         if identifier == "argmax":
             return rtype.type(int(np.argmax(data)))
         if identifier == "dot":

@@ -13,6 +13,18 @@ over threads):
 3. end-of-team combine over thread partials, then a final combine over
    team partials (deterministic team order).
 
+The chunk boundaries are closed-form: the schedule's shape (trip count,
+iterations per team and per thread, active teams, threads per team)
+follows from ``(n, grid, block, V)``.  Every team but the last keeps all
+its threads, so team *t*'s first thread is ``t * threads_per_team``; when
+a team's chunk splits evenly into thread chunks, the thread starts are
+one uniform ``arange``.  A level whose segments each hold one value (one
+element per thread, or one thread per team) skips its ``reduceat``,
+because a one-element segment reduces to that value, and a lone team's
+thread partials go straight to the final combine.  None of this changes
+a bit of the result: ``tests/properties/test_exec_properties.py`` checks
+it against an always-two-level reference.
+
 For integers the result is exactly ``sum mod 2**bits`` regardless of the
 geometry (modular addition is associative); for floats different geometries
 legitimately produce slightly different roundings, which the verification
@@ -61,6 +73,36 @@ _UFUNCS = {
 _LOGICAL = {"&&": np.minimum, "||": np.maximum}
 
 
+def _schedule(n_elements: int, grid: int, block: int,
+              v: int) -> Tuple[int, int, int, int, int]:
+    """The static schedule's shape, in loop iterations.
+
+    Returns ``(trip, team_iters, teams, thread_iters, threads_per_team)``:
+    the trip count, each team's chunk, the active teams, each thread's
+    chunk, and the threads one full team keeps busy.
+    """
+    if n_elements <= 0:
+        raise ValueError(f"n_elements must be positive, got {n_elements}")
+    trip = -(-n_elements // v)  # iterations, last one possibly ragged
+    team_iters = -(-trip // grid)
+    teams = -(-trip // team_iters)
+    thread_iters = -(-team_iters // block)
+    threads_per_team = -(-team_iters // thread_iters)
+    return trip, team_iters, teams, thread_iters, threads_per_team
+
+
+def _thread_starts(trip: int, team_iters: int, teams: int,
+                   thread_iters: int, v: int) -> np.ndarray:
+    """Element offsets where each active thread's chunk begins."""
+    if team_iters % thread_iters == 0:
+        # Every team boundary is a thread boundary: one uniform stride.
+        return np.arange(0, trip * v, thread_iters * v, dtype=np.int64)
+    per_team = np.arange(0, team_iters, thread_iters, dtype=np.int64)
+    starts = (np.arange(teams, dtype=np.int64)[:, None] * team_iters
+              + per_team[None, :]).ravel()
+    return starts[starts < trip] * v  # only the last team can run short
+
+
 def thread_chunk_starts(
     n_elements: int, grid: int, block: int, v: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -71,21 +113,12 @@ def thread_chunk_starts(
     into ``thread_starts``) where each active team's group of threads
     begins.  Both arrays are sorted and non-empty for ``n_elements > 0``.
     """
-    if n_elements <= 0:
-        raise ValueError(f"n_elements must be positive, got {n_elements}")
-    trip = -(-n_elements // v)  # iterations, last one possibly ragged
-    team_iters = -(-trip // grid)
-    n_active_teams = -(-trip // team_iters)
-    thread_iters = -(-team_iters // block)
-    per_team = np.arange(0, team_iters, thread_iters, dtype=np.int64)
-    starts_iter = (
-        np.arange(n_active_teams, dtype=np.int64)[:, None] * team_iters
-        + per_team[None, :]
-    ).ravel()
-    starts_iter = starts_iter[starts_iter < trip]
-    team_first_iter = np.arange(n_active_teams, dtype=np.int64) * team_iters
-    team_starts = np.searchsorted(starts_iter, team_first_iter)
-    return starts_iter * v, team_starts
+    trip, team_iters, teams, thread_iters, threads_per_team = _schedule(
+        n_elements, grid, block, v)
+    # Every team but the last keeps all its threads, so team t's first
+    # thread is thread t * threads_per_team.
+    return (_thread_starts(trip, team_iters, teams, thread_iters, v),
+            np.arange(teams, dtype=np.int64) * threads_per_team)
 
 
 def execute_reduction(data: np.ndarray, kernel: ReductionKernel,
@@ -155,20 +188,25 @@ def _execute_reduction(data: np.ndarray, kernel: ReductionKernel,
             f"no executable lowering for identifier {ident!r}"
         )
 
-    thread_starts, team_starts = thread_chunk_starts(
-        values.size,
-        kernel.geometry.grid,
-        kernel.geometry.block,
-        kernel.elements_per_iteration,
-    )
-    # Thread-private accumulation in R (wrapping for ints via the dtype).
-    partials = ufunc.reduceat(values, thread_starts, dtype=rtype)
-    # End-of-team combine over that team's thread partials.
-    if team_starts.size > 1:
-        team_sums = ufunc.reduceat(partials, team_starts, dtype=rtype)
+    v = kernel.elements_per_iteration
+    trip, team_iters, teams, thread_iters, threads_per_team = _schedule(
+        values.size, kernel.geometry.grid, kernel.geometry.block, v)
+    # Thread-private accumulation in R (wrapping for ints via the dtype);
+    # a one-element chunk accumulates to the element itself.
+    if thread_iters * v == 1:
+        partials = values.astype(rtype, copy=False)
     else:
-        team_sums = partials if partials.size == 1 else np.asarray(
-            [ufunc.reduce(partials, dtype=rtype)], dtype=rtype
-        )
+        partials = ufunc.reduceat(
+            values, _thread_starts(trip, team_iters, teams, thread_iters, v),
+            dtype=rtype)
+    # End-of-team combine over that team's thread partials.  One team's
+    # partials go straight to the final combine: reducing its single
+    # team sum once more would change no bit.
+    if threads_per_team == 1 or teams == 1:
+        team_sums = partials
+    else:
+        team_sums = ufunc.reduceat(
+            partials, np.arange(teams, dtype=np.int64) * threads_per_team,
+            dtype=rtype)
     # Final combine across teams (deterministic team order).
     return rtype.type(ufunc.reduce(team_sums, dtype=rtype))
