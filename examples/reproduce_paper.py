@@ -74,10 +74,6 @@ def main() -> None:
     parser.add_argument("--trace-out", metavar="FILE", default=None,
                         help="enable telemetry and write a Chrome-trace "
                              "timeline to FILE (open in ui.perfetto.dev)")
-    parser.add_argument("--no-slab", action="store_true",
-                        help="disable the batch-vectorized slab hot path "
-                             "and price every point through the scalar "
-                             "pipeline (results are byte-identical)")
     args = parser.parse_args()
 
     if args.trace_out:
@@ -87,8 +83,6 @@ def main() -> None:
     config_kwargs = {}
     if args.functional_cap is not None:
         config_kwargs["functional_elements_cap"] = args.functional_cap
-    if args.no_slab:
-        config_kwargs["slab"] = False
     config = ReproConfig(**config_kwargs)
     machine = Machine(config=config)
     cache = open_result_cache(args.cache_dir, enabled=not args.no_cache)

@@ -181,12 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
              "nodes; see docs/EXPERIMENTS.md)",
     )
     parser.add_argument(
-        "--no-slab", action="store_true",
-        help="disable the batch-vectorized slab hot path and use the "
-             "point-at-a-time scalar pipeline (the differential oracle; "
-             "results are byte-identical either way)",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="disable the persistent sweep result cache (recompute "
              "every point)",
@@ -1849,8 +1843,6 @@ def _dispatch(
         overrides["functional_elements_cap"] = int(args.functional_cap)
     if args.faults:
         overrides["faults"] = args.faults
-    if getattr(args, "no_slab", False):
-        overrides["slab"] = False
     if getattr(args, "machine_profile", None):
         overrides["machine_profile"] = args.machine_profile
     if overrides:

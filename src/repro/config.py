@@ -70,16 +70,6 @@ class ReproConfig:
         every injection point a no-op.  Not part of cache fingerprints —
         injected faults surface as *failed* points or detected
         corruption, never as silently different cached results.
-    slab:
-        When ``True`` (the default), ``gpu_point`` sweep stages take the
-        batch-vectorized slab path (:mod:`repro.sim.batch`): precomputed
-        model tables, whole-slab NumPy evaluation, shared-memory
-        transport to pool workers, and a memoized
-        :func:`~repro.core.timing.measure_gpu_reduction` fast path.
-        ``False`` (``--no-slab``) forces the original point-at-a-time
-        scalar pipeline — the differential oracle the slab path is
-        byte-identical to.  Not part of cache fingerprints *because* of
-        that byte-identity: both paths produce the same records.
     machine_profile:
         Named hardware profile (see :mod:`repro.hardware.profiles`) the
         :class:`~repro.core.machine.Machine` resolves its system from
@@ -107,7 +97,6 @@ class ReproConfig:
     telemetry: bool = False
     sweep_task_timeout_s: Optional[float] = None
     faults: Optional[str] = None
-    slab: bool = True
     machine_profile: str = "gh200"
     flight_dir: Optional[str] = None
 

@@ -39,7 +39,7 @@ __all__ = ["TRIALS", "Measurement", "measure_gpu_reduction"]
 #: The paper's trial count (N = 200).
 TRIALS = 200
 
-#: Per-machine memo bound for the slab-mode measurement fast path.
+#: Per-machine memo bound for the measurement fast path.
 _MEMO_CAP = 4096
 
 
@@ -92,17 +92,15 @@ def measure_gpu_reduction(
 
     do_verify = machine.config.strict_verify if verify is None else verify
 
-    # Slab-mode fast path: the measurement pipeline is a pure function of
+    # Memoized fast path: the measurement pipeline is a pure function of
     # (case, config, trials, do_verify) on a given machine, so repeat
     # points replay the memoized Measurement (and its launch record, to
     # keep the trace's profiler observables identical).  Only successes
     # are stored — every error path below re-raises with the scalar
-    # pipeline's exact sequencing.  Disabled under ``--no-slab`` so the
-    # scalar path stays the uncached differential oracle, and under
-    # enabled telemetry so profiled runs keep their per-point
-    # compile/launch/model spans.
+    # pipeline's exact sequencing.  Disabled under enabled telemetry so
+    # profiled runs keep their per-point compile/launch/model spans.
     memo = None
-    if machine.config.slab and not get_telemetry().enabled:
+    if not get_telemetry().enabled:
         memo = machine.__dict__.setdefault("_measure_memo", {})
         # Sum keeps the historical 4-tuple key so pre-op memo behaviour
         # (and any key a test pins) is unchanged; other ops append theirs.

@@ -467,11 +467,6 @@ class ReductionService:
         self._tracing = (
             self.settings.trace_sample > 0 and get_telemetry().enabled
         )
-        if self._tracing:
-            # Traced service runs keep the slab fast path: the trace
-            # contract is the request tree (batch -> dispatch -> stage
-            # -> worker -> slab.evaluate), not per-point scalar spans.
-            self.executor.trace_slab = True
         self.batcher = MicroBatcher(
             self.admission.queue,
             self.scheduler.dispatch,

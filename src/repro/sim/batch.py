@@ -218,7 +218,7 @@ def evaluate_gpu_slab(machine, payloads: Sequence[tuple]) -> List[dict]:
     list of dict
         One ``{"bandwidth_gbs", "elapsed_seconds", "value"}`` record per
         payload, in submission order — byte-identical (canonical JSON)
-        to the records of the scalar ``_task_gpu_point`` loop.
+        to :func:`repro.verify.oracles.scalar_gpu_records`.
     """
     payloads = list(payloads)
     n = len(payloads)

@@ -21,11 +21,16 @@ parameter points through a :class:`SweepExecutor`, which
    sweep.instrumentation.SweepStats`.  Failure records are counted but
    never cached.
 
-A global per-task timeout (``--timeout`` / ``REPRO_SWEEP_TIMEOUT`` /
+``gpu_point`` stages are always priced by the batch-vectorized slab
+(:func:`repro.sim.batch.evaluate_gpu_slab`): in-process when serial,
+over shared memory when pooled.  Telemetry only adds spans around it.
+
+A global per-task timeout (``--task-timeout`` / ``REPRO_SWEEP_TIMEOUT`` /
 :attr:`~repro.config.ReproConfig.sweep_task_timeout_s`) records a
 too-slow point as failed instead of aborting the sweep; setting it
 routes even single-worker runs through the pool, since enforcing a
-deadline requires process isolation.
+deadline requires process isolation, and sends the slab one point per
+task so the deadline stays a per-point contract.
 
 Worker processes rebuild the machine from a picklable
 :class:`MachineSpec`; because every measurement is a pure function of
@@ -35,6 +40,7 @@ serial ones.
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import time
@@ -61,7 +67,7 @@ from ..core.coexec import (
 )
 from ..core.machine import Machine
 from ..core.optimized import KernelConfig
-from ..core.timing import TRIALS, measure_gpu_reduction
+from ..core.timing import TRIALS
 from ..errors import SpecError
 from ..telemetry.state import get_telemetry, metrics, span as tele_span
 from .fingerprint import CACHE_VERSION, fingerprint, machine_fingerprint_data
@@ -201,20 +207,6 @@ class CoexecRequest:
 # --------------------------------------------------------------------------
 
 
-def _task_gpu_point(machine: Machine, payload: tuple) -> dict:
-    # Sum payloads stay 4-tuples (their cache fingerprints predate the op
-    # axis); non-sum ops ride in a 5th element.
-    case, config, trials, verify = payload[:4]
-    op = payload[4] if len(payload) > 4 else "+"
-    m = measure_gpu_reduction(machine, case, config, trials=trials,
-                              verify=verify, op=op)
-    return {
-        "bandwidth_gbs": m.bandwidth_gbs,
-        "elapsed_seconds": m.elapsed_seconds,
-        "value": m.value.item(),
-    }
-
-
 def _task_coexec_sweep(machine: Machine, payload: tuple) -> dict:
     request: CoexecRequest = payload[0]
     sweep = measure_coexec_sweep(
@@ -292,7 +284,6 @@ def _task_gpu_slab(machine: Machine, payload: tuple) -> dict:
 
 
 _TASKS = {
-    "gpu_point": _task_gpu_point,
     "gpu_slab": _task_gpu_slab,
     "coexec_sweep": _task_coexec_sweep,
 }
@@ -367,11 +358,6 @@ class SweepExecutor:
             task_timeout_s, machine.config
         )
         self._pool: Optional[Any] = None
-        #: Traced-service override: keep the slab fast path even with
-        #: telemetry enabled.  Distributed traces want the request tree
-        #: (stage -> worker -> slab.evaluate), not per-point scalar
-        #: spans, so the service sets this when sampling traces.
-        self.trace_slab = False
         if stats is None:
             # When profiling, back the stage counters by the global
             # telemetry registry so they appear in exported traces.
@@ -547,29 +533,20 @@ class SweepExecutor:
         return results  # type: ignore[return-value]
 
     def _compute(self, kind: str, payloads: List[tuple]) -> List[dict]:
-        # The slab path covers gpu_point stages without a per-task
-        # deadline: a deadline is a per-*point* contract, and chunked
-        # dispatch would coarsen it to per-chunk, so timed runs keep the
-        # per-point pool.  Span-enabled (profiling) runs also keep the
-        # scalar pipeline: its per-point compiler/openmp/gpu spans are
-        # the observability contract, and a profiled run prefers trace
-        # fidelity over throughput.
-        slab = (
-            kind == "gpu_point"
-            and self.machine.config.slab
-            and self.task_timeout_s is None
-            and (not get_telemetry().enabled or self.trace_slab)
-        )
+        # gpu_point is always priced by the slab; the pickle pool
+        # serves coexec_sweep only.
+        if kind == "gpu_point":
+            serial = self._compute_slab_serial
+            pooled = self._compute_slab_pool
+        else:
+            serial = functools.partial(self._compute_serial, kind)
+            pooled = functools.partial(self._compute_pool, kind)
         if self.task_timeout_s is None and (
             self.workers == 1 or len(payloads) < 2
         ):
-            if slab:
-                return self._compute_slab_serial(payloads)
-            return self._compute_serial(kind, payloads)
+            return serial(payloads)
         try:
-            if slab:
-                return self._compute_slab_pool(payloads)
-            return self._compute_pool(kind, payloads)
+            return pooled(payloads)
         except Exception:
             # Pools can be unavailable (pickling limits, sandboxed
             # platforms, restricted /dev/shm) or exhaust their restart
@@ -577,9 +554,7 @@ class SweepExecutor:
             # and without crash isolation.
             self.stats.mode = "serial (pool unavailable)"
             self.close()
-            if slab:
-                return self._compute_slab_serial(payloads)
-            return self._compute_serial(kind, payloads)
+            return serial(payloads)
 
     def _compute_serial(self, kind: str, payloads: List[tuple]) -> List[dict]:
         task = _TASKS[kind]
@@ -610,7 +585,12 @@ class SweepExecutor:
 
         pool = self._ensure_pool()
         n = len(payloads)
-        size = max(1, min(_SLAB_CHUNK_CAP, -(-n // self.workers)))
+        if self.task_timeout_s is not None:
+            # A deadline is a per-point contract: one point per task, so
+            # a slow point fails alone instead of taking its chunk along.
+            size = 1
+        else:
+            size = max(1, min(_SLAB_CHUNK_CAP, -(-n // self.workers)))
         chunks = [payloads[i : i + size] for i in range(0, n, size)]
         reg = metrics()
         headers = []

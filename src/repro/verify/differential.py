@@ -9,8 +9,9 @@ dtype-aware :class:`~repro.verify.oracles.OracleTolerances` becomes a
     device executor vs host executor vs exact serial ground truth, plus
     metamorphic transforms (permutation, split-in-two, scale-by-c), the
     Listing-6 measurement identity ``bandwidth * elapsed == bytes *
-    trials * 1e-9``, measurement determinism, and the closed-form
-    roofline placement (``achieved <= memory ceiling``, deterministic).
+    trials * 1e-9``, measurement determinism (machine vs twin), and the
+    closed-form roofline placement (``achieved <= memory ceiling``,
+    deterministic).
 ``directive``
     parse twice -> identical Directive; compile through a fresh front
     end and through the process compile cache -> identical directive and
@@ -24,7 +25,8 @@ dtype-aware :class:`~repro.verify.oracles.OracleTolerances` becomes a
 ``sweep-cache``
     the same point batch through an uncached executor, a cold fresh
     persistent cache and the warmed cache must be byte-equal under
-    canonical JSON.
+    canonical JSON, and equal to the scalar oracle
+    (:func:`~repro.verify.oracles.scalar_gpu_records`) on the twin.
 ``coexec``
     every point of a co-execution p sweep must reproduce the serial
     ground truth of the machine workload and satisfy the Listing-8
@@ -38,8 +40,9 @@ dtype-aware :class:`~repro.verify.oracles.OracleTolerances` becomes a
     fused ``sum+max`` pair) on its drawn machine profile: device vs host
     vs exact serial oracles, op-specific metamorphic transforms
     (min/max permutation invariance, argmax tie-break determinism, dot
-    scale-linearity), measurement determinism, the two-operand-aware
-    bandwidth identity, and the slab-vs-scalar byte-identity oracle.
+    scale-linearity), measurement determinism (machine vs twin), the
+    two-operand-aware bandwidth identity, and the slab-vs-scalar
+    byte-identity oracle.
 ``op-reject``
     extended-op misuse must fail with a pinned error class and stable
     diagnostic code (``OMP-RED-101``/``OMP-RED-201``/``NVHPC-OMP-201``)
@@ -92,12 +95,17 @@ from ..openmp.clauses import NumTeams, Reduction, ThreadLimit
 from ..openmp.directives import FUSED_DUPLICATE_VAR
 from ..openmp.parser import parse_pragma
 from ..openmp.reduction_ops import ARGMAX_RESULT_TYPE, required_arrays
-from ..sweep.executor import SweepExecutor
+from ..sweep.executor import MachineSpec, SweepExecutor
 from ..sweep.fingerprint import canonical_json
 from ..sweep.result_cache import open_result_cache
 from ..util.units import gb_per_s
 from .fuzzer import FuzzCase, case_list_digest, generate_cases
-from .oracles import OracleTolerances, serial_ground_truth, tolerances_for
+from .oracles import (
+    OracleTolerances,
+    scalar_gpu_records,
+    serial_ground_truth,
+    tolerances_for,
+)
 
 __all__ = [
     "DifferentialRunner",
@@ -206,39 +214,28 @@ class DifferentialRunner:
 
     def __init__(self, machine: Optional[Machine] = None):
         self.machine = machine or Machine()
-        # A twin machine with the slab hot path forced off: the scalar
-        # point-at-a-time pipeline is the differential oracle the slab
-        # records must match byte-for-byte.
-        self.scalar_machine = Machine(
-            system=self.machine.system,
-            calibration=self.machine.calibration,
-            config=dc_replace(self.machine.config, slab=False),
-            icvs=self.machine.runtime.icvs,
-        )
+        # A twin machine rebuilt from the same spec but sharing no
+        # per-machine memo: the scalar oracle and the second measurement
+        # of each determinism check run on it, so neither can replay a
+        # result the machine under test already holds.
+        self.twin = MachineSpec.of(self.machine).build()
         self.compiler = NvhpcCompiler()
-        #: Lazily-built (slab, scalar) machine twins per named profile —
-        #: op cases run on the profile they drew, against its own slab /
-        #: scalar differential pair.
+        #: Lazily-built (machine, twin) pairs per named profile — op
+        #: cases run on the profile they drew, against its own twin.
         self._profile_machines: Dict[str, Tuple[Machine, Machine]] = {}
         #: Total comparisons performed (reported for visibility — a run
         #: with zero divergences but also near-zero checks is a red flag).
         self.checks = 0
 
     def _machines_for(self, profile: Optional[str]) -> Tuple[Machine, Machine]:
-        """The (slab, scalar-oracle) machine pair for *profile*."""
+        """The (machine, twin) pair for *profile*."""
         if profile is None or profile == self.machine.config.machine_profile:
-            return self.machine, self.scalar_machine
+            return self.machine, self.twin
         pair = self._profile_machines.get(profile)
         if pair is None:
             cfg = dc_replace(self.machine.config, machine_profile=profile)
-            slab = Machine(config=cfg)
-            scalar = Machine(
-                system=slab.system,
-                calibration=slab.calibration,
-                config=dc_replace(cfg, slab=False),
-                icvs=slab.runtime.icvs,
-            )
-            pair = (slab, scalar)
+            machine = Machine(config=cfg)
+            pair = (machine, MachineSpec.of(machine).build())
             self._profile_machines[profile] = pair
         return pair
 
@@ -429,7 +426,7 @@ class DifferentialRunner:
             self.machine, case_obj, config, trials=case.trials, verify=False
         )
         m2 = measure_gpu_reduction(
-            self.machine, case_obj, config, trials=case.trials, verify=False
+            self.twin, case_obj, config, trials=case.trials, verify=False
         )
         self._expect(
             case, "measurement-determinism",
@@ -636,9 +633,10 @@ class DifferentialRunner:
         # Slab vs scalar oracle: the batch-vectorized hot path must
         # produce byte-identical records to the point-at-a-time scalar
         # pipeline it replaced.
-        scalar = SweepExecutor(
-            self.scalar_machine, workers=1, cache=None
-        ).gpu_points(case_obj, configs, trials=case.trials, verify=False)
+        scalar = scalar_gpu_records(
+            self.twin,
+            [(case_obj, config, case.trials, False) for config in configs],
+        )
         self._expect(
             case, "slab-vs-scalar-oracle",
             canonical_json(scalar) == blobs["uncached"],
@@ -754,7 +752,7 @@ class DifferentialRunner:
         return cached_compile(program).launch(machine.runtime, env), config
 
     def _check_op_exec(self, case: FuzzCase, out: List[Divergence]) -> None:
-        machine, scalar_machine = self._machines_for(case.profile)
+        machine, twin = self._machines_for(case.profile)
         case_obj = self._case_obj(case)
         data = generate_workload(
             case.workload, case.dtype, case.elements, seed=case.data_seed
@@ -795,7 +793,7 @@ class DifferentialRunner:
             self._op_metamorphic(case, op, kernel, data, second, serial,
                                  tol, out)
             self._op_measurement(case, case_obj, config, op, machine,
-                                 scalar_machine, out)
+                                 twin, out)
 
     def _fused_directive_checks(self, case: FuzzCase,
                                 out: List[Divergence]) -> None:
@@ -879,14 +877,14 @@ class DifferentialRunner:
                 )
 
     def _op_measurement(self, case, case_obj, config, op, machine,
-                        scalar_machine, out) -> None:
+                        twin, out) -> None:
         tag = f"[{op}]" if case.op == "sum+max" else ""
         m1 = measure_gpu_reduction(
             machine, case_obj, config, trials=case.trials, verify=True,
             op=op,
         )
         m2 = measure_gpu_reduction(
-            machine, case_obj, config, trials=case.trials, verify=True,
+            twin, case_obj, config, trials=case.trials, verify=True,
             op=op,
         )
         self._expect(
@@ -924,10 +922,9 @@ class DifferentialRunner:
             machine, workers=1, cache=None
         ).gpu_points(case_obj, [config], trials=case.trials, verify=False,
                      op=op)
-        scalar_recs = SweepExecutor(
-            scalar_machine, workers=1, cache=None
-        ).gpu_points(case_obj, [config], trials=case.trials, verify=False,
-                     op=op)
+        scalar_recs = scalar_gpu_records(
+            twin, [(case_obj, config, case.trials, False, op)]
+        )
         self._expect(
             case, f"op-slab-vs-scalar{tag}",
             canonical_json(slab_recs) == canonical_json(scalar_recs),

@@ -12,7 +12,12 @@ shares as little code as possible with the others:
   compensated summation for floats — no NumPy reduction tree involved;
 * **compensated references** — :func:`kahan_sum` / :func:`pairwise_sum`
   / :func:`naive_sum`, used both as oracle inputs and by the property
-  suite to check the textbook error ordering.
+  suite to check the textbook error ordering;
+* **scalar pricing** — :func:`scalar_gpu_records`: ``gpu_point``
+  records built point by point through the Listing-6 pipeline
+  (:func:`~repro.core.timing.measure_gpu_reduction`), the reference
+  that the sweep executor's batch-vectorized slab must match byte for
+  byte.
 
 Tolerances are dtype-aware (:class:`OracleTolerances`): integer paths
 must agree *exactly* (modular addition is associative, so any grouping
@@ -31,9 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
+from ..core.timing import measure_gpu_reduction
 from ..dtypes import ScalarType, scalar_type
 
 __all__ = [
@@ -42,6 +49,7 @@ __all__ = [
     "kahan_sum",
     "naive_sum",
     "pairwise_sum",
+    "scalar_gpu_records",
     "serial_ground_truth",
     "tolerances_for",
 ]
@@ -82,6 +90,27 @@ def pairwise_sum(data, dtype=np.float64) -> float:
         return t(rec(lo, mid) + rec(mid, hi))
 
     return float(rec(0, len(data)))
+
+
+def scalar_gpu_records(machine, payloads: Sequence[tuple]) -> List[dict]:
+    """Price ``gpu_point`` payloads one at a time through Listing 6.
+
+    Payloads are the sweep executor's ``(case, config, trials, verify)``
+    tuples, with non-sum identifiers in a fifth element.  Each record has
+    the slab's ``bandwidth_gbs``, ``elapsed_seconds`` and ``value``.
+    """
+    records = []
+    for payload in payloads:
+        case, config, trials, verify = payload[:4]
+        op = payload[4] if len(payload) > 4 else "+"
+        m = measure_gpu_reduction(machine, case, config, trials=trials,
+                                  verify=verify, op=op)
+        records.append({
+            "bandwidth_gbs": m.bandwidth_gbs,
+            "elapsed_seconds": m.elapsed_seconds,
+            "value": m.value.item(),
+        })
+    return records
 
 
 def _wrap(value: int, bits: int) -> int:

@@ -7,10 +7,11 @@ from repro.core.cases import C1
 from repro.errors import SpecError
 from repro.faults import injector
 from repro.sweep.executor import (
-    SweepExecutor, TIMEOUT_ENV, _TASKS, resolve_task_timeout,
+    SweepExecutor, TIMEOUT_ENV, resolve_task_timeout,
 )
 from repro.sweep.fingerprint import canonical_json
 from repro.sweep.result_cache import ResultCache
+from repro.verify.oracles import scalar_gpu_records
 
 from .test_supervisor import _find_seed
 
@@ -76,7 +77,7 @@ class TestTimeoutSweep:
             executor.close()
         assert records[0]["failed"] is True
         assert "timeout" in records[0]["error"]
-        expected = [_TASKS["gpu_point"](machine, p) for p in payloads[1:]]
+        expected = scalar_gpu_records(machine, payloads[1:])
         assert [canonical_json(r) for r in records[1:]] == [
             canonical_json(r) for r in expected
         ]
@@ -110,7 +111,7 @@ class TestTimeoutSweep:
         )
         [record] = second.run("gpu_point", payloads, "sweep")
         assert canonical_json(record) == canonical_json(
-            _TASKS["gpu_point"](machine, payloads[0])
+            scalar_gpu_records(machine, payloads)[0]
         )
         assert second.stats.total_failed == 0
 

@@ -10,9 +10,10 @@ import pytest
 
 from repro.core.cases import C1
 from repro.faults import FaultPlan, SupervisedWorkerPool, injector
-from repro.sweep.executor import MachineSpec, _TASKS
+from repro.sweep.executor import MachineSpec
 from repro.sweep.fingerprint import canonical_json
 from repro.telemetry.metrics import MetricsRegistry
+from repro.verify.oracles import scalar_gpu_records
 
 
 @pytest.fixture(autouse=True)
@@ -28,14 +29,26 @@ def _payloads(n):
     return [(C1, None, 1 + i, False) for i in range(n)]
 
 
+def _gpu_point(machine, payload):
+    [record] = scalar_gpu_records(machine, [payload])
+    return record
+
+
+#: Task table for supervisor scenarios: one scalar-priced point per task
+#: (module-level, so worker processes can resolve it).
+GPU_POINT_TASKS = {"gpu_point": _gpu_point}
+
+
 def _serial(machine, payloads):
-    return [_TASKS["gpu_point"](machine, p) for p in payloads]
+    return scalar_gpu_records(machine, payloads)
 
 
 def _pool(machine, **kwargs):
     defaults = dict(workers=1, registry=MetricsRegistry(), poll_s=0.02)
     defaults.update(kwargs)
-    return SupervisedWorkerPool(MachineSpec.of(machine), _TASKS, **defaults)
+    return SupervisedWorkerPool(
+        MachineSpec.of(machine), GPU_POINT_TASKS, **defaults
+    )
 
 
 def _find_seed(rate, pattern):

@@ -128,7 +128,9 @@ class TestCrashTriggers:
     def test_worker_crash_dumps(self, machine, flight_dir, monkeypatch):
         from repro.core.cases import C1
         from repro.faults import SupervisedWorkerPool
-        from repro.sweep.executor import MachineSpec, _TASKS
+        from repro.sweep.executor import MachineSpec
+
+        from ..faults.test_supervisor import GPU_POINT_TASKS
 
         monkeypatch.delenv(injector.FAULTS_ENV, raising=False)
         injector.deactivate()
@@ -137,7 +139,7 @@ class TestCrashTriggers:
             # quarantined — and each death leaves a black-box trail.
             injector.activate("worker.task:crash")
             pool = SupervisedWorkerPool(
-                MachineSpec.of(machine), _TASKS, workers=1,
+                MachineSpec.of(machine), GPU_POINT_TASKS, workers=1,
                 registry=MetricsRegistry(), poll_s=0.02,
             )
             try:

@@ -19,10 +19,6 @@ def _configs(n):
 class TestSlabSpanReparenting:
     def test_worker_spans_adopted_under_stage(self, telemetry, machine):
         executor = SweepExecutor(machine, workers=2, cache=None)
-        # The traced-service override: keep the slab fast path with
-        # telemetry on (the default profiled path would take the scalar
-        # per-point pipeline instead).
-        executor.trace_slab = True
         try:
             records = executor.gpu_points(C1, _configs(4), trials=2)
         finally:
@@ -58,7 +54,6 @@ class TestSlabSpanReparenting:
         self, telemetry, machine
     ):
         executor = SweepExecutor(machine, workers=2, cache=None)
-        executor.trace_slab = True
         try:
             executor.gpu_points(C1, _configs(4), trials=2)
         finally:

@@ -18,8 +18,11 @@ from hypothesis import given, settings, strategies as st
 from repro import Machine, ReproConfig
 from repro.core.cases import C1
 from repro.faults import SupervisedWorkerPool, injector
-from repro.sweep.executor import MachineSpec, _TASKS
+from repro.sweep.executor import MachineSpec
 from repro.sweep.fingerprint import canonical_json
+from repro.verify.oracles import scalar_gpu_records
+
+from ..faults.test_supervisor import GPU_POINT_TASKS
 
 _MACHINE = Machine(config=ReproConfig(functional_elements_cap=1 << 12))
 _PAYLOADS = [(C1, None, 1 + i, False) for i in range(3)]
@@ -28,7 +31,7 @@ _PAYLOADS = [(C1, None, 1 + i, False) for i in range(3)]
 @lru_cache(maxsize=1)
 def _expected():
     return tuple(
-        canonical_json(_TASKS["gpu_point"](_MACHINE, p)) for p in _PAYLOADS
+        canonical_json(r) for r in scalar_gpu_records(_MACHINE, _PAYLOADS)
     )
 
 
@@ -44,7 +47,7 @@ def test_seeded_faults_yield_byte_identical_results(seed, mode, rate):
     spec = f"seed={seed};worker.task:{mode}@{rate:g}{delay}"
     with injector.injected(spec):
         pool = SupervisedWorkerPool(
-            MachineSpec.of(_MACHINE), _TASKS, workers=2,
+            MachineSpec.of(_MACHINE), GPU_POINT_TASKS, workers=2,
             max_task_retries=10, poll_s=0.02,
         )
         try:
@@ -69,7 +72,7 @@ def test_layered_fault_plans_compose_without_corruption(seed):
     )
     with injector.injected(spec):
         pool = SupervisedWorkerPool(
-            MachineSpec.of(_MACHINE), _TASKS, workers=2,
+            MachineSpec.of(_MACHINE), GPU_POINT_TASKS, workers=2,
             max_task_retries=10, poll_s=0.02,
         )
         try:

@@ -4,9 +4,10 @@ The tentpole invariant of the vectorized hot path — for any slab of
 valid ``gpu_point`` payloads drawn from the fuzzer's space (all five
 dtypes, baseline and optimized points, mixed cases, degenerate size-0/1
 slabs), :func:`repro.sim.batch.evaluate_gpu_slab` produces records whose
-canonical JSON equals the scalar ``_task_gpu_point`` loop's, with the
-scalar oracle running under ``slab=False`` so it cannot share any memo
-with the path under test.
+canonical JSON equals that of
+:func:`repro.verify.oracles.scalar_gpu_records`, with the scalar oracle
+running on its own machine so it cannot share any memo with the path
+under test.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -15,12 +16,10 @@ from repro import Machine, ReproConfig
 from repro.core.cases import Case
 from repro.core.optimized import KernelConfig
 from repro.sim.batch import evaluate_gpu_slab
-from repro.sweep.executor import _task_gpu_point
 from repro.sweep.fingerprint import canonical_json
+from repro.verify.oracles import scalar_gpu_records
 
-# The differential oracle: identical machine profile, slab disabled.
-_SLAB_CONFIG = ReproConfig(functional_elements_cap=1 << 12, slab=True)
-_ORACLE_CONFIG = ReproConfig(functional_elements_cap=1 << 12, slab=False)
+_CONFIG = ReproConfig(functional_elements_cap=1 << 12)
 
 # The fuzzer's type pairings (verify/fuzzer.py): same-kind, never
 # narrowing, int8 always widening to int64 as in the paper's C2.
@@ -65,10 +64,10 @@ def gpu_point_payloads(draw):
 
 
 def _machines():
-    slab = Machine(config=_SLAB_CONFIG)
+    # The differential oracle: an identical machine with its own memos.
+    slab = Machine(config=_CONFIG)
     oracle = Machine(
-        system=slab.system, calibration=slab.calibration,
-        config=_ORACLE_CONFIG,
+        system=slab.system, calibration=slab.calibration, config=_CONFIG,
     )
     return slab, oracle
 
@@ -79,7 +78,7 @@ class TestSlabEqualsScalar:
     def test_records_byte_identical(self, payloads):
         slab_machine, oracle = _machines()
         slab_records = evaluate_gpu_slab(slab_machine, payloads)
-        oracle_records = [_task_gpu_point(oracle, p) for p in payloads]
+        oracle_records = scalar_gpu_records(oracle, payloads)
         assert canonical_json(slab_records) == canonical_json(oracle_records)
 
     @given(payloads=st.lists(gpu_point_payloads(), min_size=2, max_size=4))
@@ -87,8 +86,7 @@ class TestSlabEqualsScalar:
     def test_launch_traces_identical(self, payloads):
         slab_machine, oracle = _machines()
         evaluate_gpu_slab(slab_machine, payloads)
-        for p in payloads:
-            _task_gpu_point(oracle, p)
+        scalar_gpu_records(oracle, payloads)
         assert (
             slab_machine.trace.kernel_launches
             == oracle.trace.kernel_launches
@@ -100,7 +98,7 @@ class TestSlabEqualsScalar:
         slab_machine, oracle = _machines()
         [record] = evaluate_gpu_slab(slab_machine, [payload])
         assert canonical_json(record) == canonical_json(
-            _task_gpu_point(oracle, payload)
+            scalar_gpu_records(oracle, [payload])[0]
         )
 
     def test_empty_slab(self):

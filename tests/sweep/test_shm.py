@@ -17,8 +17,8 @@ from repro.core.optimized import KernelConfig
 from repro.faults import injector
 from repro.faults.plan import FaultPlan
 from repro.sweep import SweepExecutor, shm
-from repro.sweep.executor import _TASKS
 from repro.sweep.fingerprint import canonical_json
+from repro.verify.oracles import scalar_gpu_records
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="needs a POSIX /dev/shm"
@@ -232,7 +232,7 @@ class TestLeakRegression:
             system=machine.system, calibration=machine.calibration,
             config=machine.config,
         )
-        return [_TASKS["gpu_point"](fresh, p) for p in payloads]
+        return scalar_gpu_records(fresh, payloads)
 
     def test_pool_slab_run_leaves_no_segments(self, machine):
         before = _leftovers()

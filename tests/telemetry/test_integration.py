@@ -7,10 +7,12 @@ import time
 import pytest
 
 from repro import Machine, ReproConfig
-from repro.core.cases import C1
+from repro.core.cases import C1, PAPER_CASES
+from repro.core.coexec import AllocationSite
 from repro.core.optimized import KernelConfig
+from repro.evaluation.figures import generate_coexec_figure
 from repro.evaluation.tables import generate_table1
-from repro.sweep import SweepExecutor
+from repro.sweep import SweepExecutor, canonical_json
 from repro.telemetry import chrome_trace, span
 from repro.telemetry.state import _NOOP_CONTEXT
 
@@ -22,6 +24,19 @@ def small_machine():
     return Machine(config=ReproConfig(functional_elements_cap=1 << 14))
 
 
+def _coexec_figure(machine, executor):
+    """A serial Figure-2a sweep over every paper case.
+
+    Table 1 prices its points through the slab, one span per stage; the
+    co-execution sweep still crosses the compiler, OpenMP runtime, GPU
+    model and simulator once per point.
+    """
+    return generate_coexec_figure(
+        machine, PAPER_CASES, AllocationSite.A1, optimized=False,
+        trials=5, executor=executor,
+    )
+
+
 class TestPipelineSpans:
     def test_table1_covers_four_subsystems(self, telemetry, small_machine):
         from repro.compiler.cache import clear_compile_cache
@@ -30,20 +45,41 @@ class TestPipelineSpans:
         executor = SweepExecutor(small_machine, workers=1)
         with span("repro.table1", category="cli"):
             generate_table1(small_machine, trials=5, executor=executor)
+        with span("repro.coexec", category="cli"):
+            _coexec_figure(
+                small_machine, SweepExecutor(small_machine, workers=1)
+            )
 
         spans = telemetry.recorder.snapshot()
-        categories = {sp.category for sp in spans}
-        assert {"compiler", "openmp", "gpu", "sweep"} <= categories
+        by_id = {sp.span_id: sp for sp in spans}
 
         # Nesting is closed: every parent_id refers to a recorded span.
-        ids = {sp.span_id for sp in spans}
         dangling = [sp for sp in spans
-                    if sp.parent_id is not None and sp.parent_id not in ids]
+                    if sp.parent_id is not None and sp.parent_id not in by_id]
         assert dangling == []
 
-        # Everything hangs off the one CLI root.
+        # Everything hangs off the two CLI roots.
         roots = [sp for sp in spans if sp.parent_id is None]
-        assert [sp.name for sp in roots] == ["repro.table1"]
+        assert [sp.name for sp in roots] == ["repro.table1", "repro.coexec"]
+
+        def root_of(sp):
+            while sp.parent_id is not None:
+                sp = by_id[sp.parent_id]
+            return sp.name
+
+        coexec = [sp for sp in spans if root_of(sp) == "repro.coexec"]
+        assert {"compiler", "openmp", "gpu", "sweep"} <= {
+            sp.category for sp in coexec
+        }
+
+        # Table 1's slab spans sit under its stages and price every
+        # point its executor computed.
+        slabs = [sp for sp in spans if sp.name == "sweep.slab"]
+        assert all(root_of(sp) == "repro.table1" for sp in slabs)
+        assert all(by_id[sp.parent_id].name == "sweep.stage" for sp in slabs)
+        computed = sum(st.computed for st in executor.stats.stages.values())
+        assert computed > 0
+        assert sum(sp.attributes["points"] for sp in slabs) == computed
 
     def test_coexec_drives_the_sim_engine_span(
         self, telemetry, small_machine
@@ -127,25 +163,58 @@ class TestWorkerReparenting:
 
 class TestDisabledPath:
     def test_results_identical_with_and_without_telemetry(
-        self, disabled_telemetry
+        self, disabled_telemetry, monkeypatch
     ):
+        """Telemetry changes timing, never the path: every executor shape
+        prices gpu_point through the slab with spans on or off."""
+        from repro.sim import batch
+
+        evaluate = batch.evaluate_gpu_slab
+        slab_calls = []
+
+        def counting_evaluate(machine, payloads):
+            slab_calls.append(len(payloads))
+            return evaluate(machine, payloads)
+
+        monkeypatch.setattr(batch, "evaluate_gpu_slab", counting_evaluate)
         config = ReproConfig(functional_elements_cap=1 << 14)
-        base = SweepExecutor(Machine(config=config), workers=1).gpu_points(
-            C1, CONFIGS, trials=3, verify=False
-        )
-        disabled_telemetry.enabled = True
-        try:
-            traced_run = SweepExecutor(
-                Machine(config=config), workers=1
-            ).gpu_points(C1, CONFIGS, trials=3, verify=False)
-        finally:
-            disabled_telemetry.enabled = False
-        assert traced_run == base  # byte-identical records
+        reg = disabled_telemetry.registry
+        cells = {
+            "workers 1": {"workers": 1},
+            "workers 2": {"workers": 2},
+            "timeout": {"workers": 1, "task_timeout_s": 30.0},
+        }
+        for cell, kwargs in cells.items():
+            runs = {}
+            for enabled in (False, True):
+                slab_calls.clear()
+                shm_before = reg.value("sweep.payload_bytes",
+                                       transport="shm") or 0
+                disabled_telemetry.enabled = enabled
+                executor = SweepExecutor(Machine(config=config), **kwargs)
+                try:
+                    runs[enabled] = canonical_json(executor.gpu_points(
+                        C1, CONFIGS, trials=3, verify=False
+                    ))
+                finally:
+                    disabled_telemetry.enabled = False
+                    executor.close()
+                if executor.stats.mode == "serial":
+                    assert slab_calls == [len(CONFIGS)], (cell, enabled)
+                else:
+                    assert executor.stats.mode.startswith("processes")
+                    assert not reg.value(
+                        "sweep.payload_bytes", transport="pickle"
+                    ), (cell, enabled)
+                    shm_after = reg.value("sweep.payload_bytes",
+                                          transport="shm")
+                    assert shm_after > shm_before, (cell, enabled)
+            assert runs[True] == runs[False], cell  # byte-identical records
 
     def test_disabled_overhead_under_five_percent(
         self, disabled_telemetry, small_machine
     ):
-        """Bound the no-op cost against a real serial table1 sweep.
+        """Bound the no-op cost against a real serial co-execution sweep.
 
         Direct A/B wall-clock comparison of two sweep runs is noisy far
         beyond 5% on shared CI hardware, so measure each factor tightly:
@@ -156,7 +225,7 @@ class TestDisabledPath:
         """
         executor = SweepExecutor(small_machine, workers=1)
         t0 = time.perf_counter()
-        generate_table1(small_machine, trials=5, executor=executor)
+        _coexec_figure(small_machine, executor)
         wall = time.perf_counter() - t0
 
         disabled_telemetry.enabled = True
@@ -164,7 +233,7 @@ class TestDisabledPath:
             counting = SweepExecutor(
                 Machine(config=small_machine.config), workers=1
             )
-            generate_table1(counting.machine, trials=5, executor=counting)
+            _coexec_figure(counting.machine, counting)
         finally:
             disabled_telemetry.enabled = False
         sites = len(disabled_telemetry.recorder.snapshot())

@@ -1,9 +1,12 @@
 """The differential runner: clean runs are clean, faulted runs diverge."""
 
+import itertools
 import json
+from dataclasses import replace as dc_replace
 
 import pytest
 
+from repro import Machine
 from repro.faults.injector import injected
 from repro.verify.differential import (
     JOB_RESUME_KIND,
@@ -65,6 +68,44 @@ class TestFaultedRuns:
         assert [d.to_dict() for d in a.divergences] == [
             d.to_dict() for d in b.divergences
         ]
+
+
+class TestDeterminismOracles:
+    """The determinism checks take their second measurement on the twin
+    machine, so a model that drifts between calls is caught instead of
+    being replayed from the first machine's measurement memo."""
+
+    @pytest.fixture()
+    def drifting_model(self, monkeypatch):
+        # The k-th modelled launch runs (1 + 1e-3 k) times slower.
+        original = Machine.run_kernel
+        calls = itertools.count()
+
+        def run_kernel(self, kernel, *args, **kwargs):
+            timing = original(self, kernel, *args, **kwargs)
+            return dc_replace(
+                timing, launch=timing.launch * (1 + 1e-3 * next(calls))
+            )
+
+        monkeypatch.setattr(Machine, "run_kernel", run_kernel)
+
+    def _checks(self, machine, kind):
+        runner = DifferentialRunner(machine)
+        cases = [c for c in generate_cases(42, 40) if c.kind == kind]
+        assert cases
+        return [d.check for case in cases for d in runner.check_case(case)]
+
+    def test_measurement_drift_diverges(self, fresh_machine, drifting_model):
+        checks = self._checks(fresh_machine, "exec")
+        assert "measurement-determinism" in checks
+
+    def test_op_measurement_drift_diverges(
+        self, fresh_machine, drifting_model
+    ):
+        checks = self._checks(fresh_machine, "op-exec")
+        assert any(
+            c.startswith("op-measurement-determinism") for c in checks
+        )
 
 
 class TestBudget:
