@@ -958,6 +958,9 @@ def _serve_sharded(args, machine: Machine, executor) -> int:
                     reuse_port=True, quiet=True,
                 )
             finally:
+                # os._exit skips atexit, which is what would otherwise
+                # stop this shard's pool workers.
+                executor.close()
                 os._exit(code)
         return pid
 
@@ -1519,22 +1522,28 @@ def _job_watch(args, base: str) -> int:
                 print(f"error: {doc.get('error', f'HTTP {status}')}",
                       file=sys.stderr)
                 return 1
-            if stream_out is not None:
+            terminal = doc.get("state") in ("DONE", "FAILED", "CANCELLED")
+            # A page is capped (4096 records): a terminal job's stream
+            # is read until a page comes back empty.
+            while stream_out is not None:
                 http_status, raw = _job_http(
                     "GET", f"{base}/jobs/{args.id}/stream?offset={offset}",
                     args.timeout,
                 )
-                if http_status < 400 and raw:
-                    stream_out.write(raw)
-                    stream_out.flush()
-                    offset += raw.count(b"\n")
+                if http_status >= 400 or not raw:
+                    break
+                stream_out.write(raw)
+                stream_out.flush()
+                offset += raw.count(b"\n")
+                if not terminal:
+                    break
             snapshot = (doc.get("state"), doc.get("points_done"))
             if snapshot != last:
                 print(f"{doc.get('state')} "
                       f"{doc.get('points_done')}/{doc.get('points_total')}",
                       flush=True)
                 last = snapshot
-            if doc.get("state") in ("DONE", "FAILED", "CANCELLED"):
+            if terminal:
                 if doc.get("error"):
                     print(f"error: {doc['error']}", file=sys.stderr)
                 return 0 if doc.get("state") == "DONE" else 1

@@ -100,9 +100,7 @@ class NodeHTTPServer(ServiceHTTPServer):
         if start + count > spec.total_points():
             raise _HTTPError(400, "chunk range beyond the spec's grid")
         executor = self.service.executor
-        payloads = list(
-            itertools.islice(spec.payloads(), start, start + count)
-        )
+        payloads = list(itertools.islice(spec.payloads(start), count))
         loop = asyncio.get_running_loop()
         async with self._compute_lock:
             records = await loop.run_in_executor(

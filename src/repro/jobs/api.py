@@ -22,6 +22,8 @@ job.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Tuple
 
@@ -32,7 +34,8 @@ from ..openmp.reduction_ops import (
     ALL_REDUCTION_IDENTIFIERS,
     validate_reduction,
 )
-from ..verify.fuzzer import case_digest
+from ..sweep.fingerprint import canonical_json
+from ..verify.fuzzer import CASE_DIGEST_LEN, case_digest
 
 #: Matches :data:`repro.service.api.MAX_TRIALS` (not imported: the
 #: service layer imports this package for its job routes, and a
@@ -108,21 +111,22 @@ class JobSpec:
     def total_points(self) -> int:
         return len(self.teams) * len(self.v) * len(self.threads)
 
-    def points(self) -> Iterator[Tuple[int, int, int]]:
-        """Lazy ``(teams, v, threads)`` tuples in canonical nested order."""
-        for teams in self.teams:
-            for v in self.v:
-                for threads in self.threads:
-                    yield teams, v, threads
+    def points(self, start: int = 0) -> Iterator[Tuple[int, int, int]]:
+        """Lazy ``(teams, v, threads)`` tuples in canonical nested order,
+        from point index *start* on."""
+        return itertools.islice(
+            itertools.product(self.teams, self.v, self.threads), start, None
+        )
 
-    def payloads(self) -> Iterator[tuple]:
-        """Lazy ``gpu_point`` executor payloads in point order.
+    def payloads(self, start: int = 0) -> Iterator[tuple]:
+        """Lazy ``gpu_point`` executor payloads in point order, from point
+        index *start* on (no skipped point builds a ``KernelConfig``).
 
         Sum jobs build the historical 4-tuples (cache-fingerprint
         stable); extended identifiers append the op element.
         """
         case = case_by_name(self.case)
-        for teams, v, threads in self.points():
+        for teams, v, threads in self.points(start):
             base = (
                 case,
                 KernelConfig(teams=teams, v=v, threads=threads),
@@ -131,28 +135,37 @@ class JobSpec:
             )
             yield base if self.op == "+" else base + (self.op,)
 
-    def point_digests(self, machine_fingerprint: str) -> Iterator[str]:
-        """Lazy canonical per-point digests (the checkpoint/resume key).
+    def point_digests(
+        self, machine_fingerprint: str, start: int = 0
+    ) -> Iterator[str]:
+        """Lazy canonical per-point digests (the checkpoint/resume key),
+        from point index *start* on.
 
-        Built with the public :func:`repro.verify.fuzzer.case_digest`
-        over the point's full parameter document, including the machine
+        Each is the public :func:`repro.verify.fuzzer.case_digest` of
+        the point's full parameter document, including the machine
         fingerprint — a resumed job on a reconfigured machine mismatches
         on the very first line instead of splicing incompatible results.
+        The document's sorted keys are ``case, kind, machine[, op],
+        teams, threads, trials, v, verify``; the canonical JSON before
+        ``teams`` is the same for every point, so it is hashed once and
+        each point copies that hash state and feeds only its own tail.
         """
-        for teams, v, threads in self.points():
-            doc: Dict[str, Any] = {
-                "kind": "gpu_point",
-                "machine": machine_fingerprint,
-                "case": self.case,
-                "teams": teams,
-                "v": v,
-                "threads": threads,
-                "trials": self.trials,
-                "verify": self.verify,
-            }
-            if self.op != "+":
-                doc["op"] = self.op
-            yield case_digest(doc)
+        head: Dict[str, Any] = {
+            "case": self.case,
+            "kind": "gpu_point",
+            "machine": machine_fingerprint,
+        }
+        if self.op != "+":
+            head["op"] = self.op
+        prefix = hashlib.sha256(
+            (canonical_json(head)[:-1] + ',"teams":').encode()
+        )
+        tail = ('%%d,"threads":%%d,"trials":%d,"v":%%d,"verify":%s}'
+                % (self.trials, canonical_json(self.verify))).encode()
+        for teams, v, threads in self.points(start):
+            sha = prefix.copy()
+            sha.update(tail % (teams, threads, v))
+            yield sha.hexdigest()[:CASE_DIGEST_LEN]
 
     def points_digest(self, machine_fingerprint: str) -> str:
         """SHA-256 over the whole per-point digest stream (incremental).
@@ -160,8 +173,6 @@ class JobSpec:
         The manifest's canonical case-list digest: computed streamingly
         so a 100M-point job never materializes its point list.
         """
-        import hashlib
-
         sha = hashlib.sha256()
         for digest in self.point_digests(machine_fingerprint):
             sha.update(digest.encode("ascii"))

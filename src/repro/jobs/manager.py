@@ -41,7 +41,6 @@ hypothesis resume property interrupt at an exact point index.
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 import time
@@ -247,7 +246,7 @@ def run_job(
 
     state = _write_state(directory, job_id, "RUNNING", done, total)
     notify(done, "RUNNING")
-    digests = itertools.islice(spec.point_digests(fp), done, None)
+    digests = spec.point_digests(fp, start=done)
 
     def sink(index: int, record: dict) -> None:
         decision = fire("job.point")
@@ -279,10 +278,9 @@ def run_job(
 
     try:
         if done < total:
-            payloads = itertools.islice(spec.payloads(), done, None)
             executor.run_streaming(
                 "gpu_point",
-                payloads,
+                spec.payloads(start=done),
                 stage=f"job:{job_id[:9]}",
                 sink=sink,
                 chunk_size=spec.checkpoint_interval,
@@ -550,8 +548,10 @@ class JobManager:
         return data
 
     def _disk_done(self, job: _ManagedJob) -> int:
-        doc = read_state(job.directory)
-        return int(doc.get("points_done", 0)) if doc else 0
+        # The checkpoint is the per-interval durable claim (the state
+        # document only records lifecycle transitions).
+        doc = read_checkpoint(job.directory)
+        return int(doc["points_done"]) if doc else 0
 
     def wait(
         self, job_id: str, timeout_s: Optional[float] = None

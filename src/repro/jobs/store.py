@@ -104,9 +104,11 @@ def read_json(path: "Path | str") -> Optional[Any]:
 
 
 def _encode_line(index: int, digest: str, record: dict) -> bytes:
-    return (
-        canonical_json({"d": digest, "i": index, "r": record}) + "\n"
-    ).encode("utf-8")
+    # The bytes of canonical_json({"d": digest, "i": index, "r": record}),
+    # without walking the envelope: only the record needs canonicalizing.
+    return ('{"d":%s,"i":%d,"r":%s}\n' % (
+        json.dumps(digest), index, canonical_json(record)
+    )).encode("utf-8")
 
 
 class ResultStore:

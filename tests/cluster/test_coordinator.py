@@ -264,6 +264,42 @@ class TestNodeCompute:
         assert len(doc["records"]) == 2
         assert doc["digest"] == case_digest(doc["records"])
 
+    def test_chunk_at_last_index_builds_only_its_payloads(
+        self, machine, monkeypatch
+    ):
+        from repro.core.optimized import KernelConfig
+        from repro.jobs import JobSpec, api
+
+        spec = JobSpec(
+            case="C1", teams=(64, 128), v=(2, 4), threads=(32, 64, 96),
+            trials=2,
+        )
+        last = spec.total_points() - 1
+        built = []
+
+        def counting_config(**fields):
+            built.append(fields)
+            return KernelConfig(**fields)
+
+        monkeypatch.setattr(api, "KernelConfig", counting_config)
+
+        async def scenario(server):
+            node = _node_server(machine)
+            await node.start()
+            try:
+                return await request_json(
+                    node.address, "POST", "/cluster/compute",
+                    {"spec": spec.to_dict(), "start": last, "count": 1},
+                )
+            finally:
+                await node.stop()
+                node.service.executor.close()
+
+        status, doc = _run(machine, scenario)
+        assert status == 200
+        assert built == [{"teams": 128, "v": 4, "threads": 96}]
+        assert len(doc["records"]) == 1
+
     def test_compute_chunk_rejects_bad_ranges(self, machine):
         from repro.jobs import JobSpec
 

@@ -167,3 +167,37 @@ class TestJobRoutes:
         status, _h, payload = _run(machine, tmp_path, scenario, jobs=False)
         assert status == 503
         assert "jobs-dir" in _json(payload)["error"]
+
+
+class TestWatch:
+    def test_stream_out_gets_every_record_past_one_page(
+        self, machine, tmp_path
+    ):
+        from repro.cli import main
+
+        # 4160 points: more than one 4096-record /stream page.
+        spec = {"case": "C1", "teams": [64, 128, 256, 512], "v": [1, 2],
+                "threads": list(range(1, 521)), "trials": 1}
+        out = tmp_path / "stream.jsonl"
+
+        async def scenario(server):
+            _s, _h, payload = await _roundtrip(server, "POST", "/jobs", spec)
+            job = _json(payload)
+            final = await _wait_done(server, job["id"])
+            assert final["state"] == "DONE"
+            # The blocking CLI client runs beside the server's loop.
+            code = await asyncio.get_running_loop().run_in_executor(
+                None, main, [
+                    "--no-cache", "job", "watch", job["id"],
+                    "--url", f"http://{server.host}:{server.port}",
+                    "--stream-out", str(out), "--interval", "0.05",
+                ],
+            )
+            return job, code
+
+        job, code = _run(machine, tmp_path, scenario)
+        assert code == 0
+        assert job["points_total"] == 4160
+        lines = out.read_bytes().splitlines()
+        assert len(lines) == 4160
+        assert [json.loads(line)["i"] for line in lines] == list(range(4160))

@@ -159,6 +159,33 @@ class TestJobManager:
         assert data.count(b"\n") == 12
         assert manager.stream(doc["id"], offset=10).count(b"\n") == 2
 
+    def test_live_stream_follows_every_checkpoint(self, tmp_path, machine):
+        import time
+
+        # Hold the job live after its second checkpoint (8 of 12
+        # points): each later point stalls 0.5 s before it is appended.
+        injector.activate("seed=1;job.point:slow:after=8:delay=0.5")
+        manager = self._manager(tmp_path, machine)
+        doc = manager.submit(SPEC)
+        directory = manager.directory_for(doc["id"])
+        deadline = time.monotonic() + 60
+        while True:
+            ckpt = read_checkpoint(directory)
+            if ckpt is not None and ckpt["points_done"] >= 8:
+                break
+            assert time.monotonic() < deadline, "no second checkpoint"
+            time.sleep(0.005)
+        data = manager.stream(doc["id"], offset=0)
+        live = manager.get(doc["id"])["state"]
+        assert live not in ("DONE", "FAILED", "CANCELLED")
+        # The state document still says 4 (it records transitions only);
+        # the stream must follow the checkpoint's durable claim.
+        assert read_state(directory)["points_done"] == 4
+        assert data.count(b"\n") == 8
+        final = manager.wait(doc["id"], timeout_s=60)
+        assert final["state"] == "DONE"
+        assert manager.stream(doc["id"], offset=0).count(b"\n") == 12
+
     def test_unknown_job_is_none(self, tmp_path, machine):
         manager = self._manager(tmp_path, machine)
         assert manager.get("jdeadbeef") is None

@@ -4,8 +4,10 @@ import itertools
 
 import pytest
 
+from repro.core.cases import PAPER_CASES
 from repro.errors import SpecError
 from repro.jobs.api import JobSpec, MAX_POINTS, parse_job_spec
+from repro.openmp.reduction_ops import ALL_REDUCTION_IDENTIFIERS
 from repro.verify.fuzzer import case_digest
 
 
@@ -85,6 +87,85 @@ class TestEnumeration:
             self.SPEC.points_digest("fp-b")
         assert self.SPEC.points_digest("fp-a") == \
             self.SPEC.points_digest("fp-a")
+
+
+def _historical_point_digests(spec, machine_fingerprint):
+    """The reference construction: ``case_digest`` of each point's
+    parameter document, built afresh in nested order."""
+    for teams in spec.teams:
+        for v in spec.v:
+            for threads in spec.threads:
+                doc = {
+                    "kind": "gpu_point",
+                    "machine": machine_fingerprint,
+                    "case": spec.case,
+                    "teams": teams,
+                    "v": v,
+                    "threads": threads,
+                    "trials": spec.trials,
+                    "verify": spec.verify,
+                }
+                if spec.op != "+":
+                    doc["op"] = spec.op
+                yield case_digest(doc)
+
+
+def _specs_for(case):
+    """One 12-point spec per identifier valid for *case*, verify both ways."""
+    for op in sorted(ALL_REDUCTION_IDENTIFIERS):
+        for verify in (False, True):
+            try:
+                yield parse_job_spec({
+                    "case": case, "op": op, "verify": verify,
+                    "teams": [64, 128], "v": [1, 4],
+                    "threads": [1, 33, 1024], "trials": 7,
+                })
+            except SpecError:
+                continue  # identifier not valid for this case's type
+
+
+def _starts(total):
+    return sorted({0, 1, total // 2, total - 1, total})
+
+
+class TestStartIndex:
+    """``start`` skips points without building or hashing them, and the
+    per-spec-prefix digests equal the generic ``case_digest`` walk."""
+
+    FINGERPRINTS = ("0" * 64, 'quote" back\\slash\ttab \u00e9\u2603\x01')
+
+    @pytest.mark.parametrize("case", [c.name for c in PAPER_CASES])
+    def test_point_digests_equal_case_digest_from_every_start(self, case):
+        specs = list(_specs_for(case))
+        assert {spec.op for spec in specs} >= {"+", "max", "min"}
+        for spec in specs:
+            total = spec.total_points()
+            for fp in self.FINGERPRINTS:
+                reference = list(_historical_point_digests(spec, fp))
+                assert len(reference) == total
+                for start in _starts(total):
+                    assert list(spec.point_digests(fp, start)) == \
+                        reference[start:], (spec.op, spec.verify, fp, start)
+
+    @pytest.mark.parametrize("op", ["+", "max"])
+    def test_points_and_payloads_from_start_equal_islice(self, op):
+        spec = JobSpec(teams=(64, 128, 256), v=(2, 4), threads=(32, 64),
+                       trials=3, verify=True, op=op)
+        total = spec.total_points()
+        for start in _starts(total):
+            assert list(spec.points(start)) == \
+                list(itertools.islice(spec.points(), start, None))
+            assert list(spec.payloads(start)) == \
+                list(itertools.islice(spec.payloads(), start, None))
+
+    def test_points_digest_is_the_stream_of_point_digests(self):
+        import hashlib
+
+        spec = JobSpec(teams=(64, 128), v=(2, 4), threads=(32,), op="max")
+        sha = hashlib.sha256()
+        for digest in _historical_point_digests(spec, "fp"):
+            sha.update(digest.encode("ascii") + b"\n")
+        assert spec.points_digest("fp") == sha.hexdigest()
 
 
 class TestIdentity:

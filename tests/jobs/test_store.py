@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.errors import SpecError
-from repro.jobs.store import ResultStore, read_json
+from repro.jobs.store import ResultStore, _encode_line, read_json
+from repro.sweep.fingerprint import canonical_json
 
 
 def _digests(n):
@@ -53,6 +54,23 @@ class TestAppend:
         # canonical_json renders floats as repr strings, so the same
         # record always encodes to the same bytes on every platform.
         assert doc["r"] == {"bandwidth_gbs": "1.0", "value": "2.0"}
+
+    @pytest.mark.parametrize("record", [
+        {"value": float("nan"), "hi": float("inf"), "lo": float("-inf"),
+         "zero": -0.0},
+        {"big": 2 ** 70, "neg": -(2 ** 63) - 1, "small": -7, "flag": True,
+         "none": None, "list": [1, -2.5, "x"], "text": 'q"\\\u00e9'},
+        {},
+    ])
+    @pytest.mark.parametrize("index", [0, 9, 2 ** 40])
+    def test_envelope_bytes_equal_canonical_json(self, record, index):
+        # The reference: the whole {"d", "i", "r"} document canonicalized.
+        for digest in ("0123456789abcdef", 'odd"digest'):
+            expected = canonical_json(
+                {"d": digest, "i": index, "r": record}
+            ) + "\n"
+            assert _encode_line(index, digest, record) == \
+                expected.encode("utf-8")
 
     def test_iter_records_preserves_order(self, tmp_path):
         store = ResultStore(tmp_path, shard_records=2)
