@@ -23,6 +23,13 @@ everything:
   the CPU part stays in LPDDR at full speed.
 
 Bandwidth per Listing 8: ``1e-9 * M * sizeof(T) * N / elapsed``.
+
+The functional value, sumD + sumH on the size-capped workload, reads
+neither the site nor the page state, so the A1 and A2 sweeps of one p
+grid compute the same reductions.  :func:`_functional_coexec` computes
+each once per machine and replays it: the value is a scalar, keyed on
+everything the two executors read, and a call that asks for verification
+checks it against the full-array reference whether it hit or not.
 """
 
 from __future__ import annotations
@@ -175,7 +182,15 @@ def _functional_coexec(
     len_d: int,
     verify: bool,
 ) -> np.generic:
-    """Actually compute sumD + sumH on the size-capped workload."""
+    """Actually compute sumD + sumH on the size-capped workload.
+
+    Memoized per machine on exactly what it reads: T, R, the workload
+    length, the device part's length and kernel shape, and the host core
+    count.  The site and the page state are not among them, so A1 and A2
+    share each value.  Verification runs on every call that asks for it,
+    hit or miss, and a value is stored only once the call that computed
+    it has passed the verification it asked for.
+    """
     data = machine.workload(case)
     n = data.size
     n_d = int(round(n * (len_d / case.elements)))
@@ -183,18 +198,31 @@ def _functional_coexec(
         n_d -= n_d % kernel.elements_per_iteration
     rtype = case.result_type
     op = get_reduction_op("+", rtype)
+    device = None
     if kernel is not None and n_d > 0:
-        sum_d = execute_reduction(data[:n_d], kernel)
+        device = (kernel.geometry.grid, kernel.geometry.block,
+                  kernel.elements_per_iteration)
     else:
-        n_d = 0 if kernel is None else n_d
-        sum_d = rtype.zero()
-    if n_d < n:
-        sum_h = execute_host_reduction(data[n_d:], machine.cpu, rtype)
-    else:
-        sum_h = rtype.zero()
-    total = op.combine(rtype.numpy.type(sum_d), rtype.numpy.type(sum_h))
+        n_d = 0
+    memo = getattr(machine, "_coexec_value_cache", None)
+    if memo is None:
+        memo = machine._coexec_value_cache = {}
+    key = (case.element_type.name, rtype.name, n, n_d, device,
+           machine.cpu.cores)
+    total = memo.get(key)
+    if total is None:
+        if device is not None:
+            sum_d = execute_reduction(data[:n_d], kernel)
+        else:
+            sum_d = rtype.zero()
+        if n_d < n:
+            sum_h = execute_host_reduction(data[n_d:], machine.cpu, rtype)
+        else:
+            sum_h = rtype.zero()
+        total = op.combine(rtype.numpy.type(sum_d), rtype.numpy.type(sum_h))
     if verify:
         verify_result(total, data, rtype)
+    memo[key] = total
     return total
 
 

@@ -25,6 +25,16 @@ thread partials go straight to the final combine.  None of this changes
 a bit of the result: ``tests/properties/test_exec_properties.py`` checks
 it against an always-two-level reference.
 
+The executor is two halves composed: :func:`_thread_level` (values to
+thread partials, steps 1–2) and :func:`_team_level` (thread partials to
+R, step 3).  The thread level reads the identifier, T, R, the data and
+the thread starts, and nothing else of the launch, and it is most of the
+work.  So :mod:`repro.sim.batch` computes it once for the launches of a
+slab that agree on all of those (the starts by
+:func:`_thread_starts_key`) and runs each launch's own team level over
+it: the same NumPy calls on the same arrays as one
+:func:`execute_reduction` per launch, so no bit moves.
+
 For integers the result is exactly ``sum mod 2**bits`` regardless of the
 geometry (modular addition is associative); for floats different geometries
 legitimately produce slightly different roundings, which the verification
@@ -103,6 +113,21 @@ def _thread_starts(trip: int, team_iters: int, teams: int,
     return starts[starts < trip] * v  # only the last team can run short
 
 
+def _thread_starts_key(n_elements: int, grid: int, block: int,
+                       v: int) -> tuple:
+    """A hashable that fixes :func:`_thread_starts` for this launch.
+
+    Two launches with equal keys have the same thread starts.  A uniform
+    schedule's starts are every ``thread_iters * v`` elements below
+    ``n``; any other schedule's follow from its chunk sizes.
+    """
+    _trip, team_iters, _teams, thread_iters, _ = _schedule(
+        n_elements, grid, block, v)
+    if team_iters % thread_iters == 0:
+        return n_elements, thread_iters * v
+    return n_elements, v, team_iters, thread_iters
+
+
 def thread_chunk_starts(
     n_elements: int, grid: int, block: int, v: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -139,6 +164,21 @@ def execute_reduction(data: np.ndarray, kernel: ReductionKernel,
 
 def _execute_reduction(data: np.ndarray, kernel: ReductionKernel,
                        second: Optional[np.ndarray] = None):
+    return _team_level(_thread_level(data, kernel, second), kernel)
+
+
+def _thread_level(data: np.ndarray, kernel: ReductionKernel,
+                  second: Optional[np.ndarray] = None) -> tuple:
+    """The executor's first half: *data* to the active threads' partials.
+
+    Returns ``(ufunc, partials, n)``: the combining ufunc, one partial in
+    R per active thread, and the length of the reduced values.  An empty
+    input and ``argmax`` need no schedule: their ``ufunc`` is ``None``
+    and ``partials`` is already the result.  The partials read the
+    identifier, T, R, the data and the thread starts, and nothing else of
+    the launch, so launches with one :func:`_thread_starts_key` share
+    them.
+    """
     if data.ndim != 1:
         raise ValueError(f"expected a 1-D array, got shape {data.shape}")
     rtype = kernel.result_type.numpy
@@ -160,10 +200,10 @@ def _execute_reduction(data: np.ndarray, kernel: ReductionKernel,
         )
     if data.size == 0:
         if ident == "argmax":
-            return rtype.type(-1)
+            return None, rtype.type(-1), 0
         if ident == "dot":
-            return rtype.type(0)
-        return rtype.type(kernel.op.identity_for(kernel.result_type))
+            return None, rtype.type(0), 0
+        return None, rtype.type(kernel.op.identity_for(kernel.result_type)), 0
     if data.dtype != kernel.element_type.numpy:
         raise ValueError(
             f"data dtype {data.dtype} does not match kernel element type "
@@ -172,7 +212,7 @@ def _execute_reduction(data: np.ndarray, kernel: ReductionKernel,
 
     if ident == "argmax":
         # Geometry-independent by construction (see module notes).
-        return rtype.type(int(np.argmax(data)))
+        return None, rtype.type(int(np.argmax(data))), data.size
 
     if ident == "dot":
         ufunc = _UFUNCS["+"]
@@ -189,7 +229,7 @@ def _execute_reduction(data: np.ndarray, kernel: ReductionKernel,
         )
 
     v = kernel.elements_per_iteration
-    trip, team_iters, teams, thread_iters, threads_per_team = _schedule(
+    trip, team_iters, teams, thread_iters, _ = _schedule(
         values.size, kernel.geometry.grid, kernel.geometry.block, v)
     # Thread-private accumulation in R (wrapping for ints via the dtype);
     # a one-element chunk accumulates to the element itself.
@@ -199,6 +239,22 @@ def _execute_reduction(data: np.ndarray, kernel: ReductionKernel,
         partials = ufunc.reduceat(
             values, _thread_starts(trip, team_iters, teams, thread_iters, v),
             dtype=rtype)
+    return ufunc, partials, values.size
+
+
+def _team_level(level: tuple, kernel: ReductionKernel):
+    """The executor's second half: thread partials to the result R.
+
+    *level* is :func:`_thread_level`'s output for a launch with
+    *kernel*'s thread starts; the team split is *kernel*'s own.
+    """
+    ufunc, partials, n = level
+    if ufunc is None:
+        return partials
+    rtype = kernel.result_type.numpy
+    _trip, _team_iters, teams, _thread_iters, threads_per_team = _schedule(
+        n, kernel.geometry.grid, kernel.geometry.block,
+        kernel.elements_per_iteration)
     # End-of-team combine over that team's thread partials.  One team's
     # partials go straight to the final combine: reducing its single
     # team sum once more would change no bit.

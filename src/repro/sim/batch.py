@@ -19,12 +19,18 @@ identical expression tree over identical inputs yields identical bits):
    instead of per-point calibration lookups;
 3. the kernel-time model of :func:`~repro.gpu.perf.estimate_kernel_time`
    runs once over arrays;
-4. functional values are memoized per machine: integer reductions are
-   geometry-independent (modular addition is associative — any grouping
-   yields ``sum mod 2**bits``), so one ``np.add.reduce`` per
-   (T, R, size) serves every geometry; float reductions are
-   grouping-dependent, so the scalar executor runs once per distinct
-   (T, R, size, grid, block, V) and is replayed from the memo after.
+4. functional values are memoized per machine, and a slab computes each
+   value the memo lacks once.  Integer sums are geometry-independent
+   (modular addition is associative — any grouping yields ``sum mod
+   2**bits``), so one ``np.add.reduce`` per (T, R, size) serves every
+   geometry.  Every other point runs the device executor's two halves
+   (:mod:`repro.gpu.exec_model`): the misses are grouped by what the
+   thread level reads — identifier, T, R, size and the thread starts —
+   each group's thread partials are computed once, and each point runs
+   its own team level and final combine over them, the calls one
+   :func:`~repro.gpu.exec_model.execute_reduction` per point would make.
+   Groups run one after another, so one thread-level array is alive at a
+   time and none outlives the call; the memo keeps scalars only.
 
 Known, intentional divergence from the serial loop: the slab validates
 *every* point before computing any, so when two points would both raise,
@@ -48,7 +54,10 @@ import numpy as np
 
 from ..core.verify import verify_result
 from ..errors import LaunchError, MeasurementError, MemoryModelError
-from ..gpu.exec_model import _execute_reduction
+from ..gpu.exec_model import _team_level, _thread_level, _thread_starts_key
+# Bound for ``perfbench/tracing.py``, which wraps this module's name; the
+# slab itself runs the executor's two halves.
+from ..gpu.exec_model import _execute_reduction  # noqa: F401
 from ..gpu.kernels import ReductionKernel
 from ..openmp.heuristics import default_num_teams, default_thread_limit
 from ..openmp.reduction_ops import required_arrays
@@ -147,58 +156,74 @@ def _validate_point(tables: ModelTables, case, grid: int, block: int,
         )
 
 
-def _value_for(machine, case, grid: int, block: int, v: int, name: str,
-               do_verify: bool, op: str = "+"):
-    """Functional value for one point, memoized on *machine*.
+def _value_key(case, n: int, grid: int, block: int, v: int,
+               op: str) -> tuple:
+    """What a point's functional value depends on, for the value memo.
 
     Integer sums are geometry-independent; float sums key on the full
-    schedule shape.  Non-sum identifiers always key on the full shape
-    plus the op and run the *same* hierarchical executor as the scalar
-    path (byte-identity by construction).  Verification (against the
-    host reference) runs once per distinct value key and is skipped on
-    memo hits — it can only ever pass, since the value is computed from
-    the same workload the reference reduces.
+    schedule shape; non-sum identifiers key on the full shape plus the op.
     """
-    memo = getattr(machine, "_slab_value_cache", None)
-    if memo is None:
-        memo = machine._slab_value_cache = {}
-    etype, rtype = case.element_type, case.result_type
-    n = machine.functional_elements(case)
+    etype, rtype = case.element_type.name, case.result_type.name
     if op != "+":
-        key = (op, etype.name, rtype.name, n, grid, block, v)
-    elif rtype.is_integer:
-        key = (etype.name, rtype.name, n)
-    else:
-        key = (etype.name, rtype.name, n, grid, block, v)
-    hit = memo.get(key)
-    if hit is not None and (not do_verify or hit[1]):
-        return hit[0]
-    data = machine.workload(case)
-    second = machine.workload_pair(case) if op == "dot" else None
-    if hit is None:
+        return (op, etype, rtype, n, grid, block, v)
+    if case.result_type.is_integer:
+        return (etype, rtype, n)
+    return (etype, rtype, n, grid, block, v)
+
+
+def _operands(machine, case, op: str) -> tuple:
+    return (machine.workload(case),
+            machine.workload_pair(case) if op == "dot" else None)
+
+
+def _missing_values(machine, memo: dict, keys: List[tuple],
+                    payloads: Sequence[tuple], grid, block, v_arr,
+                    names: List[str], ops: List[str]) -> dict:
+    """Compute the value of every key *memo* lacks, once per key.
+
+    Modular addition is associative (any grouping yields ``sum mod
+    2**bits``), so an integer sum is one ``np.add.reduce``.  Every other
+    point runs the hierarchical executor, grouped by everything its thread
+    level reads: the identifier, T, R, ``n`` and the thread starts.
+    """
+    misses: dict = {}
+    for i, key in enumerate(keys):
+        if key not in memo:
+            misses.setdefault(key, i)
+    values: dict = {}
+    groups: dict = {}
+    for key, i in misses.items():
+        case, op = payloads[i][0], ops[i]
+        rtype = case.result_type
         if op == "+" and rtype.is_integer:
-            # Modular addition is associative: every grouping yields the
-            # same wrapped sum, so skip the hierarchical schedule.
-            value = rtype.numpy.type(np.add.reduce(data, dtype=rtype.numpy))
-        else:
-            kernel = ReductionKernel(
-                name=name,
-                geometry=LaunchGeometry(grid=grid, block=block,
-                                        from_clause=True),
-                elements=case.elements,
-                elements_per_iteration=v,
-                element_type=etype,
-                result_type=rtype,
-                identifier=op,
-                arrays=required_arrays(op),
-            )
-            value = _execute_reduction(data, kernel, second)
-    else:
-        value = hit[0]
-    if do_verify:
-        verify_result(value, data, rtype, op, second)
-    memo[key] = (value, do_verify or (hit is not None and hit[1]))
-    return value
+            values[key] = rtype.numpy.type(
+                np.add.reduce(machine.workload(case), dtype=rtype.numpy))
+            continue
+        g, b, v = int(grid[i]), int(block[i]), int(v_arr[i])
+        kernel = ReductionKernel(
+            name=names[i],
+            geometry=LaunchGeometry(grid=g, block=b, from_clause=True),
+            elements=case.elements,
+            elements_per_iteration=v,
+            element_type=case.element_type,
+            result_type=rtype,
+            identifier=op,
+            arrays=required_arrays(op),
+        )
+        shared = (op, case.element_type.name, rtype.name,
+                  *_thread_starts_key(machine.functional_elements(case),
+                                      g, b, v))
+        groups.setdefault(shared, []).append((key, case, kernel))
+    for members in groups.values():
+        _key, case, kernel = members[0]
+        data, second = _operands(machine, case, kernel.identifier)
+        level = _thread_level(data, kernel, second)
+        for key, _case, kernel in members:
+            values[key] = _team_level(level, kernel)
+        # Release this group's array before the next group computes its
+        # own: one thread-level array is alive at a time.
+        del level
+    return values
 
 
 def evaluate_gpu_slab(machine, payloads: Sequence[tuple]) -> List[dict]:
@@ -336,16 +361,33 @@ def evaluate_gpu_slab(machine, payloads: Sequence[tuple]) -> List[dict]:
             )
         )
 
-    # -- pass 4: functional values + records.
+    # -- pass 4: functional values + records.  The memo holds
+    # (value, verified); verification runs once per key, on the first
+    # point that asks for it.
+    memo = getattr(machine, "_slab_value_cache", None)
+    if memo is None:
+        memo = machine._slab_value_cache = {}
+    keys = [
+        _value_key(payload[0], machine.functional_elements(payload[0]),
+                   int(grid[i]), int(block[i]), int(v_arr[i]), ops[i])
+        for i, payload in enumerate(payloads)
+    ]
+    fresh = _missing_values(machine, memo, keys, payloads, grid, block,
+                            v_arr, names, ops)
     strict = machine.config.strict_verify
     records: List[dict] = []
     for i, payload in enumerate(payloads):
-        case, verify = payload[0], payload[3]
+        case, verify, key = payload[0], payload[3], keys[i]
         do_verify = strict if verify is None else verify
-        value = _value_for(
-            machine, case, int(grid[i]), int(block[i]), int(v_arr[i]),
-            names[i], do_verify, ops[i],
-        )
+        hit = memo.get(key)
+        if hit is not None and (not do_verify or hit[1]):
+            value = hit[0]
+        else:
+            value = fresh[key] if hit is None else hit[0]
+            if do_verify:
+                data, second = _operands(machine, case, ops[i])
+                verify_result(value, data, case.result_type, ops[i], second)
+            memo[key] = (value, do_verify)
         records.append(
             {
                 "bandwidth_gbs": float(bandwidth[i]),

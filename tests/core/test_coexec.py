@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.cases import C1, C2
+import repro.core.coexec as coexec_mod
+from repro import Machine, ReproConfig
+from repro.core.cases import C1, C2, C3
 from repro.core.coexec import (
     AllocationSite,
     CPU_PART_GRID,
     measure_coexec_sweep,
 )
 from repro.core.optimized import KernelConfig
-from repro.errors import MeasurementError
+from repro.errors import MeasurementError, VerificationError
 
 
 OPT_C1 = KernelConfig(teams=65536, v=4)
@@ -135,3 +137,124 @@ class TestValidation:
         with pytest.raises(ValueError):
             measure_coexec_sweep(machine, C1, AllocationSite.A1, None,
                                  p_grid=(0.0, 1.5), trials=2, verify=False)
+
+
+class TestValueMemo:
+    """One machine computes each co-execution value once.
+
+    The functional value reads neither the allocation site nor the page
+    state, so an A2 sweep replays the values of the A1 sweep before it.
+    """
+
+    SMALL = ReproConfig(functional_elements_cap=1 << 12)
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        """Count the device and host executor calls co-execution makes."""
+        calls = {"device": 0, "host": 0}
+        real_device = coexec_mod.execute_reduction
+        real_host = coexec_mod.execute_host_reduction
+
+        def device(data, kernel, second=None):
+            calls["device"] += 1
+            return real_device(data, kernel, second)
+
+        def host(data, cpu, rtype):
+            calls["host"] += 1
+            return real_host(data, cpu, rtype)
+
+        monkeypatch.setattr(coexec_mod, "execute_reduction", device)
+        monkeypatch.setattr(coexec_mod, "execute_host_reduction", host)
+        return calls
+
+    @staticmethod
+    def _values(sweep):
+        return [(m.value.dtype, m.value.tobytes()) for m in sweep.measurements]
+
+    @pytest.mark.parametrize("base", [C1, C3], ids=lambda c: c.name)
+    @pytest.mark.parametrize("config", [None, KernelConfig(teams=128, v=4)],
+                             ids=["baseline", "optimized"])
+    def test_a1_then_a2_computes_each_value_once(self, counted, base,
+                                                 config):
+        case = base.scaled(1 << 16, name=f"{base.name}m")
+        machine = Machine(config=self.SMALL)
+        a1 = measure_coexec_sweep(machine, case, AllocationSite.A1, config,
+                                  trials=5, verify=True)
+        # A device part at every p < 1, a host part at every p > 0.
+        assert counted == {"device": 10, "host": 10}
+        a2 = measure_coexec_sweep(machine, case, AllocationSite.A2, config,
+                                  trials=5, verify=True)
+        assert counted == {"device": 10, "host": 10}
+        for sweep in (a1, a2):
+            alone = measure_coexec_sweep(
+                Machine(config=self.SMALL), case, sweep.site, config,
+                trials=5, verify=True)
+            assert sweep.measurements == alone.measurements
+            assert self._values(sweep) == self._values(alone)
+        assert counted == {"device": 30, "host": 30}
+
+    def test_hits_are_verified(self, monkeypatch):
+        # An unverified A1 sweep stores a corrupted value; the A2 sweep
+        # that asks for verification replays it and must reject it.
+        case = C1.scaled(1 << 12, name="C1v")
+        config = KernelConfig(teams=128, v=4)
+        machine = Machine(config=self.SMALL)
+        real = coexec_mod.execute_host_reduction
+        monkeypatch.setattr(
+            coexec_mod, "execute_host_reduction",
+            lambda data, cpu, rtype: real(data, cpu, rtype) + 7,
+        )
+        measure_coexec_sweep(machine, case, AllocationSite.A1, config,
+                             p_grid=(0.5,), trials=1, verify=False)
+        calls = []
+        monkeypatch.setattr(
+            coexec_mod, "execute_host_reduction",
+            lambda data, cpu, rtype: calls.append(1) or real(data, cpu, rtype),
+        )
+        with pytest.raises(VerificationError):
+            measure_coexec_sweep(machine, case, AllocationSite.A2, config,
+                                 p_grid=(0.5,), trials=1, verify=True)
+        assert calls == []  # the rejected value was a hit
+
+    def test_a_failed_value_is_not_stored(self, monkeypatch):
+        case = C1.scaled(1 << 12, name="C1f")
+        config = KernelConfig(teams=128, v=4)
+        machine = Machine(config=self.SMALL)
+        real = coexec_mod.execute_host_reduction
+        monkeypatch.setattr(
+            coexec_mod, "execute_host_reduction",
+            lambda data, cpu, rtype: real(data, cpu, rtype) + 7,
+        )
+        with pytest.raises(VerificationError):
+            measure_coexec_sweep(machine, case, AllocationSite.A1, config,
+                                 p_grid=(0.5,), trials=1, verify=True)
+        monkeypatch.setattr(coexec_mod, "execute_host_reduction", real)
+        again = measure_coexec_sweep(machine, case, AllocationSite.A1,
+                                     config, p_grid=(0.5,), trials=1,
+                                     verify=False)
+        alone = measure_coexec_sweep(Machine(config=self.SMALL), case,
+                                     AllocationSite.A1, config,
+                                     p_grid=(0.5,), trials=1, verify=False)
+        assert self._values(again) == self._values(alone)
+
+    def test_other_config_cap_or_profile_is_a_miss(self, counted):
+        case = C3.scaled(1 << 16, name="C3k")
+        machine = Machine(config=self.SMALL)
+
+        def run(machine, config, site=AllocationSite.A1):
+            measure_coexec_sweep(machine, case, site, config,
+                                 p_grid=(0.5,), trials=1, verify=True)
+
+        run(machine, KernelConfig(teams=128, v=4))
+        assert counted == {"device": 1, "host": 1}
+        run(machine, KernelConfig(teams=128, v=4), AllocationSite.A2)
+        assert counted == {"device": 1, "host": 1}
+        run(machine, KernelConfig(teams=256, v=4))
+        assert counted == {"device": 2, "host": 2}
+        run(Machine(config=ReproConfig(functional_elements_cap=1 << 13)),
+            KernelConfig(teams=128, v=4))
+        assert counted == {"device": 3, "host": 3}
+        run(Machine(config=ReproConfig(functional_elements_cap=1 << 12,
+                                       machine_profile="v100")),
+            KernelConfig(teams=128, v=4))
+        assert counted == {"device": 4, "host": 4}
