@@ -315,11 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_coord.add_argument("--max-attempts", type=int, default=3,
                          help="distinct nodes tried per request or chunk")
     p_coord.add_argument("--hedge-delay", type=float, default=None,
-                         help="seconds before a slow forward is hedged "
-                              "on the next ring candidate (default: off)")
+                         help="seconds before a slow /simulate forward "
+                              "races the next candidate (default: off)")
     p_coord.add_argument("--retry-backoff", type=float, default=0.05,
-                         help="base seconds of exponential backoff "
-                              "between forward attempts")
+                         help="base seconds of exponential backoff: the "
+                              "k-th retry waits min(1, base * 2**(k-1))")
     p_coord.add_argument("--forward-timeout", type=float, default=30.0,
                          help="per-forward HTTP timeout (seconds)")
     p_coord.add_argument("--no-degrade", action="store_true",

@@ -1,25 +1,17 @@
-"""Minimal stdlib HTTP/1.1 JSON clients for intra-cluster calls.
+"""A minimal stdlib HTTP/1.1 JSON client for intra-cluster calls.
 
-Two shapes, because the cluster speaks HTTP from two worlds:
-
-- :func:`request_json` — asyncio, used inside the coordinator's and the
-  node agent's event loops (forwarding ``/simulate``, heartbeats).
-- :func:`sync_request_json` — blocking ``urllib``, used from job-runner
-  threads (the cluster job executor dispatches chunks from the thread
-  :func:`repro.jobs.manager.run_job` runs on, not from the event loop).
-
-Both raise :class:`ClusterHTTPError` on transport failure and return
-``(status, document)`` otherwise — non-2xx is a *routing* signal the
-caller classifies, not an exception.
+:func:`request_json` is asyncio-only: the coordinator forwards
+``/simulate`` from its event loop and job chunks from a fresh loop in
+each job thread, and the node agent heartbeats from its own.  It raises :class:`ClusterHTTPError` on transport failure and
+returns ``(status, document)`` otherwise — non-2xx is a *routing*
+signal the caller classifies, not an exception.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import urllib.error
-import urllib.request
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 from urllib.parse import urlsplit
 
 from ..service.loadgen import _read_http_response
@@ -28,7 +20,6 @@ __all__ = [
     "ClusterHTTPError",
     "request_json",
     "split_base_url",
-    "sync_request_json",
 ]
 
 
@@ -88,37 +79,3 @@ async def request_json(
         except (ConnectionError, OSError):
             pass
 
-
-def sync_request_json(
-    base_url: str,
-    method: str,
-    path: str,
-    doc: Any = None,
-    timeout_s: float = 30.0,
-) -> Tuple[int, Any]:
-    """Blocking twin of :func:`request_json` (job-runner threads)."""
-    body: Optional[bytes] = None if doc is None else json.dumps(
-        doc, separators=(",", ":")
-    ).encode()
-    request = urllib.request.Request(
-        f"{base_url}{path}",
-        data=body,
-        method=method,
-        headers={"Content-Type": "application/json"},
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout_s) as response:
-            raw = response.read()
-            status = response.status
-    except urllib.error.HTTPError as exc:
-        raw = exc.read()
-        status = exc.code
-    except (urllib.error.URLError, ConnectionError, OSError) as exc:
-        raise ClusterHTTPError(f"{method} {base_url}{path}: {exc}") from exc
-    try:
-        payload = json.loads(raw.decode("utf-8")) if raw else None
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ClusterHTTPError(
-            f"{method} {base_url}{path}: non-JSON body"
-        ) from exc
-    return status, payload

@@ -17,11 +17,12 @@ when the whole ring is gone):
   first-write-wins with digest dedupe, so a slow "dead" node racing
   its replacement can never smuggle in a duplicate or conflicting
   result.
-- **Forwarding**: ``/simulate`` walks the ring's preference list with
-  hedged retry (a second node is raced after ``hedge_delay_s``),
-  exponential backoff, and per-node circuit breakers — a flapping node
-  is quarantined rather than hammered.  Only when *no* node is
-  dispatchable does the coordinator degrade through
+- **Forwarding**: ``/simulate`` and job chunks walk the ring's
+  preference list under one :class:`~repro.faults.policy.CallPolicy`:
+  attempt budget, exponential backoff, per-node circuit breakers (a
+  flapping node is quarantined rather than hammered), and for
+  ``/simulate`` only, a hedge after ``hedge_delay_s``.  Only when *no*
+  node is dispatchable does ``/simulate`` degrade through
   :func:`repro.faults.degrade.analytic_estimate` (flagged
   ``degraded: true``), exactly like the single-box service.
 - **Jobs**: the standard ``/jobs`` API backed by
@@ -30,24 +31,25 @@ when the whole ring is gone):
   payload tuples from the spec, which is what keeps a cluster job's
   result stream byte-identical to a single-node run.
 
-The ``cluster.assign`` fault point fires on every dispatch decision
-(modes: ``error`` — the assignment is dropped before it reaches the
-node; ``slow``), which is how chaos exercises the retry machinery
-deterministically.
+The ``cluster.assign`` fault point fires before every attempt (modes:
+``error`` — the assignment is dropped before it reaches the node: an
+attempt spent, never the node's fault; ``slow``), which is how chaos
+exercises the retry machinery deterministically.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import json
-import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..faults.breaker import CircuitBreaker
 from ..faults.degrade import analytic_estimate
 from ..faults.injector import fire
+from ..faults.policy import FATAL, LOST, RETRY, USABLE, CallPolicy, Verdict
 from ..jobs.manager import JobManager, _ManagedJob
 from ..obs.flight import flight
 from ..obs.promtext import (
@@ -64,7 +66,7 @@ from ..sweep.fingerprint import (
 from ..telemetry.state import metrics
 from ..verify.fuzzer import case_digest
 from . import assigner as assign_mod
-from ._http import ClusterHTTPError, request_json, sync_request_json
+from ._http import ClusterHTTPError, request_json
 from .assigner import Assigner
 from .membership import ALIVE, DEAD, Membership, NodeInfo, SUSPECT
 from .ring import DEFAULT_VNODES, HashRing
@@ -91,8 +93,8 @@ class CoordinatorSettings:
     max_attempts: int = 3
     #: Base of the exponential retry backoff between failed attempts.
     retry_backoff_s: float = 0.05
-    #: Race a second node after this long without an answer (None/0
-    #: disables hedging; hedges share the ``max_attempts`` budget).
+    #: Race a second node after this long without a ``/simulate`` answer
+    #: (None/0: off; hedges share ``max_attempts``; chunks never hedge).
     hedge_delay_s: Optional[float] = None
     forward_timeout_s: float = 30.0
     #: Answer compute requests analytically when the ring is empty.
@@ -231,36 +233,64 @@ class ClusterState:
             )
         return breaker
 
-    def next_candidate(
-        self, key: str, tried: Set[str]
-    ) -> Optional[NodeInfo]:
-        """The best untried node for *key*: ring order, ALIVE before
-        SUSPECT, quarantined (breaker-open) nodes skipped."""
-        preference = self.ring.preference(key, count=len(self.ring) or 1)
-        now = time.monotonic()
-        suspect: Optional[NodeInfo] = None
-        for node_id in preference:
-            if node_id in tried:
-                continue
-            node = self.membership.get(node_id)
-            if node is None or node.state == DEAD:
-                continue
-            if not self.breaker_for(node_id).allow(now):
-                continue
-            if node.state == ALIVE:
-                return node
-            if suspect is None:
-                suspect = node
-        return suspect
+    def candidates(
+        self, key: str, tried: List[NodeInfo]
+    ) -> List[NodeInfo]:
+        """The untried nodes for *key* in call order: ring order, ALIVE
+        before SUSPECT.  Their breakers are the call policy's to ask."""
+        skip = {node.node_id for node in tried}
+        nodes = [
+            self.membership.get(node_id)
+            for node_id in self.ring.preference(key, count=len(self.ring))
+            if node_id not in skip
+        ]
+        return [
+            node for state in (ALIVE, SUSPECT) for node in nodes
+            if node is not None and node.state == state
+        ]
 
-    def note_success(self, node: NodeInfo) -> None:
-        self.breaker_for(node.node_id).record_success()
+    def policy(self, hedge_delay_s: Optional[float] = None) -> CallPolicy:
+        """A call policy over this cluster's nodes and their breakers."""
+        return CallPolicy(
+            attempts=self.settings.max_attempts,
+            backoff_s=self.settings.retry_backoff_s,
+            hedge_delay_s=hedge_delay_s,
+            breaker_for=lambda node: self.breaker_for(node.node_id),
+            registry=self.registry,
+            name="cluster",
+        )
 
-    def note_failure(self, node: NodeInfo) -> None:
-        self.breaker_for(node.node_id).record_failure(time.monotonic())
+    async def forward(
+        self, node: NodeInfo, path: str, doc: Any
+    ) -> Optional[Tuple[int, Any]]:
+        """POST *doc* to *node* after probing ``cluster.assign``.
+
+        ``None`` when the probe dropped the assignment before it reached
+        the node, ``(0, None)`` when the transport failed.
+        """
+        decision = fire("cluster.assign")
+        if decision is not None:
+            if decision.mode == "slow":
+                await asyncio.sleep(
+                    decision.delay_s if decision.delay_s is not None else 0.02
+                )
+            elif decision.mode == "error":
+                return None
+        try:
+            return await request_json(
+                node.url, "POST", path, doc,
+                timeout_s=self.settings.forward_timeout_s,
+            )
+        except ClusterHTTPError:
+            return 0, None
+
+    def note_failure(self, node: NodeInfo) -> Verdict:
+        """Count a failed forward to *node* and classify it retryable (the
+        call policy then feeds the node's breaker)."""
         self.registry.counter(
             "cluster.forward_failures", node=node.node_id
         ).add(1)
+        return RETRY, None
 
     # -- introspection --------------------------------------------------------
     def refresh_gauges(self) -> None:
@@ -300,20 +330,23 @@ class ClusterJobExecutor:
     is dispatchable the chunk is computed on the local fallback
     executor: a cluster of zero nodes behaves exactly like ``repro job
     run`` on one box.
+
+    Each chunk's attempts run on a fresh event loop in the job thread.
+    They are never hedged: a chunk stuck on a frozen node waits for its
+    forward timeout or the node's death.
     """
 
     def __init__(
         self,
         state: ClusterState,
-        settings: CoordinatorSettings,
         spec: Any,
         local: SweepExecutor,
     ):
         self.state = state
-        self.settings = settings
         self.spec = spec
         self.spec_doc = spec.to_dict()
         self.local = local
+        self.policy = state.policy()
 
     @property
     def machine_fingerprint(self) -> str:
@@ -321,9 +354,6 @@ class ClusterJobExecutor:
 
     def close(self) -> None:
         self.local.close()
-
-    def run(self, kind: str, payloads: Any, stage: str) -> List[dict]:
-        return self.local.run(kind, payloads, stage)
 
     def run_streaming(
         self,
@@ -364,81 +394,61 @@ class ClusterJobExecutor:
     def _resolve_chunk(
         self, kind: str, chunk: List[tuple], start: int, stage: str
     ) -> List[dict]:
-        state = self.state
-        settings = self.settings
         key = self._chunk_key(start, len(chunk))
-        tried: Set[str] = set()
-        failures = 0
-        while len(tried) < max(1, settings.max_attempts):
-            node = state.next_candidate(key, tried)
-            if node is None:
-                break
-            tried.add(node.node_id)
-            state.assigner.assign(key, node.node_id)
-            decision = fire("cluster.assign")
-            if decision is not None:
-                if decision.mode == "slow":
-                    time.sleep(
-                        decision.delay_s
-                        if decision.delay_s is not None else 0.02
-                    )
-                elif decision.mode == "error":
-                    # The assignment is lost before it reaches the node.
-                    state.assigner.release(key)
-                    failures += 1
-                    continue
-            try:
-                status, doc = sync_request_json(
-                    node.url, "POST", "/cluster/compute",
-                    {
-                        "spec": self.spec_doc,
-                        "start": start,
-                        "count": len(chunk),
-                    },
-                    timeout_s=settings.forward_timeout_s,
-                )
-            except ClusterHTTPError:
-                state.note_failure(node)
-                state.assigner.release(key)
-                failures += 1
-                time.sleep(
-                    min(1.0, settings.retry_backoff_s * (2 ** failures))
-                )
-                continue
-            records = (doc or {}).get("records") if status == 200 else None
-            if (
-                not isinstance(records, list)
-                or len(records) != len(chunk)
-                or (doc or {}).get("machine") != self.machine_fingerprint
-            ):
-                state.note_failure(node)
-                state.assigner.release(key)
-                failures += 1
-                continue
-            digest = case_digest(records)
-            if digest != (doc or {}).get("digest"):
-                # The payload was damaged in transit (or the node lied):
-                # never stream it.
-                state.note_failure(node)
-                state.assigner.release(key)
-                failures += 1
-                continue
-            verdict = state.assigner.complete(key, node.node_id, digest)
-            if verdict == assign_mod.CONFLICT:
-                state.registry.counter("cluster.chunk_conflicts").add(1)
-                raise RuntimeError(
-                    f"conflicting results for chunk {key} (points "
-                    f"{start}..{start + len(chunk) - 1}): two nodes "
-                    "disagree about a deterministic chunk — failing the "
-                    "job rather than stream a wrong result"
-                )
-            state.note_success(node)
-            state.registry.counter("cluster.chunks_remote").add(1)
-            return records
+        outcome = asyncio.run(
+            self.policy.call(
+                lambda tried: self.state.candidates(key, tried),
+                functools.partial(self._send_chunk, key, start, len(chunk)),
+            )
+        )
+        if outcome.verdict == FATAL:
+            raise RuntimeError(outcome.value)
+        if outcome.ok:
+            self.state.registry.counter("cluster.chunks_remote").add(1)
+            return outcome.value
         # Ring empty or every candidate exhausted: degrade to local
         # compute (identical results — same machine fingerprint).
-        state.registry.counter("cluster.chunks_local").add(1)
+        self.state.registry.counter("cluster.chunks_local").add(1)
         return self.local.run(kind, chunk, stage)
+
+    async def _send_chunk(
+        self, key: str, start: int, count: int, node: NodeInfo
+    ) -> Verdict:
+        """One chunk attempt on *node*, classified for the policy."""
+        state = self.state
+        state.assigner.assign(key, node.node_id)
+        answer = await state.forward(
+            node, "/cluster/compute",
+            {"spec": self.spec_doc, "start": start, "count": count},
+        )
+        if answer is None:
+            state.assigner.release(key)
+            return LOST, None
+        status, doc = answer
+        records = (
+            doc.get("records")
+            if status == 200 and isinstance(doc, dict) else None
+        )
+        if (
+            not isinstance(records, list)
+            or len(records) != count
+            or doc.get("machine") != self.machine_fingerprint
+            # A digest mismatch means the payload was damaged in
+            # transit (or the node lied): never stream it.
+            or case_digest(records) != doc.get("digest")
+        ):
+            state.assigner.release(key)
+            return state.note_failure(node)
+        verdict = state.assigner.complete(key, node.node_id, doc["digest"])
+        if verdict == assign_mod.CONFLICT:
+            state.registry.counter("cluster.chunk_conflicts").add(1)
+            return FATAL, (
+                f"conflicting results for chunk {key} (points "
+                f"{start}..{start + count - 1}): two nodes disagree "
+                "about a deterministic chunk — failing the job rather "
+                "than stream a wrong result"
+            )
+        return USABLE, records
 
 
 class ClusterJobManager(JobManager):
@@ -449,7 +459,6 @@ class ClusterJobManager(JobManager):
         root: Any,
         machine: Any,
         state: ClusterState,
-        settings: CoordinatorSettings,
         cache: Any = None,
         workers: "int | str | None" = None,
         max_running: int = 1,
@@ -460,15 +469,12 @@ class ClusterJobManager(JobManager):
             max_running=max_running, fsync=fsync,
         )
         self.state = state
-        self.settings = settings
 
     def _make_executor(self, job: _ManagedJob) -> ClusterJobExecutor:
         local = SweepExecutor(
             self.machine, workers=self.workers, cache=self.cache
         )
-        return ClusterJobExecutor(
-            self.state, self.settings, job.spec, local
-        )
+        return ClusterJobExecutor(self.state, job.spec, local)
 
 
 class CoordinatorHTTPServer(BaseHTTPServer):
@@ -482,8 +488,8 @@ class CoordinatorHTTPServer(BaseHTTPServer):
     ``GET  /health``           full cluster state (ring, members,
                                assigner); 503 when no node is ALIVE
     ``GET  /metrics``          telemetry registry (JSON or Prometheus)
-    ``POST /simulate``         forwarded over the ring (hedged retry,
-                               breakers, degrade)
+    ``POST /simulate``         forwarded over the ring (call policy:
+                               hedged retry, breakers; then degrade)
     ``POST /batch``            per-entry forwarding, one 200 envelope
     ``/jobs...``               durable jobs on the cluster executor
     =========================  =========================================
@@ -507,6 +513,7 @@ class CoordinatorHTTPServer(BaseHTTPServer):
         self.state = ClusterState(
             self.settings, self.machine_fingerprint, self.registry
         )
+        self._forward = self.state.policy(self.settings.hedge_delay_s)
         self.jobs: Optional[ClusterJobManager] = None
         self._cache = cache
         self._tick_task: Optional[asyncio.Task] = None
@@ -518,7 +525,6 @@ class CoordinatorHTTPServer(BaseHTTPServer):
                 self.settings.jobs_dir,
                 self.machine,
                 self.state,
-                self.settings,
                 cache=self._cache,
                 workers=self.settings.jobs_workers,
                 max_running=self.settings.jobs_max_running,
@@ -638,9 +644,12 @@ class CoordinatorHTTPServer(BaseHTTPServer):
             return response.http_status(), response.to_dict()
         key = self._routing_key(request)
         started = asyncio.get_running_loop().time()
-        forwarded = await self._dispatch(key, obj)
-        if forwarded is not None:
-            return forwarded
+        outcome = await self._forward.call(
+            lambda tried: self.state.candidates(key, tried),
+            functools.partial(self._forward_attempt, obj),
+        )
+        if outcome.ok:
+            return outcome.value
         if self.settings.degrade:
             self.registry.counter(
                 "cluster.degraded", reason="ring_unavailable"
@@ -665,104 +674,20 @@ class CoordinatorHTTPServer(BaseHTTPServer):
         )
         return 503, response.to_dict()
 
-    async def _dispatch(
-        self, key: str, obj: Any
-    ) -> Optional[Tuple[int, Any]]:
-        """Hedged-retry forward over the preference list.
-
-        Returns the first usable node answer, or ``None`` when the ring
-        is empty / every attempt failed (the caller degrades).  A 5xx
-        (or transport error) counts against the node's breaker and the
-        next candidate is tried after an exponential backoff; any
-        non-5xx answer is authoritative and passed through.
-        """
-        settings = self.settings
-        state = self.state
-        pending: Dict[asyncio.Task, NodeInfo] = {}
-        tried: Set[str] = set()
-        launched = 0
-        failures = 0
-
-        async def launch_next() -> bool:
-            nonlocal launched, failures
-            while launched < max(1, settings.max_attempts):
-                node = state.next_candidate(key, tried)
-                if node is None:
-                    return False
-                tried.add(node.node_id)
-                launched += 1
-                decision = fire("cluster.assign")
-                if decision is not None:
-                    if decision.mode == "slow":
-                        await asyncio.sleep(
-                            decision.delay_s
-                            if decision.delay_s is not None else 0.02
-                        )
-                    elif decision.mode == "error":
-                        state.note_failure(node)
-                        failures += 1
-                        continue
-                task = asyncio.ensure_future(
-                    request_json(
-                        node.url, "POST", "/simulate", obj,
-                        timeout_s=settings.forward_timeout_s,
-                    )
-                )
-                pending[task] = node
-                return True
-            return False
-
-        try:
-            await launch_next()
-            while pending:
-                hedge = (
-                    settings.hedge_delay_s
-                    if settings.hedge_delay_s
-                    and launched < settings.max_attempts
-                    else None
-                )
-                done, _ = await asyncio.wait(
-                    pending, timeout=hedge,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if not done:
-                    # The primary is slow: race the next ring candidate.
-                    if await launch_next():
-                        self.registry.counter("cluster.hedges").add(1)
-                    else:
-                        # Nobody left to hedge onto — wait out the
-                        # in-flight attempts without a timer.
-                        launched = max(launched, settings.max_attempts)
-                    continue
-                for task in done:
-                    node = pending.pop(task)
-                    try:
-                        status, doc = task.result()
-                    except ClusterHTTPError:
-                        status, doc = 0, None
-                    except asyncio.CancelledError:
-                        continue
-                    if status and status < 500 and isinstance(doc, dict):
-                        state.note_success(node)
-                        self.registry.counter(
-                            "cluster.forwarded", node=node.node_id
-                        ).add(1)
-                        return status, doc
-                    state.note_failure(node)
-                    failures += 1
-                if not pending:
-                    if launched >= settings.max_attempts:
-                        break
-                    await asyncio.sleep(
-                        min(1.0, settings.retry_backoff_s * (2 ** failures))
-                    )
-                    self.registry.counter("cluster.retries").add(1)
-                    if not await launch_next():
-                        break
-            return None
-        finally:
-            for task in pending:
-                task.cancel()
+    async def _forward_attempt(self, obj: Any, node: NodeInfo) -> Verdict:
+        """One ``/simulate`` forward to *node*, classified for the policy:
+        a 5xx or a transport error is retryable, any other answer is
+        authoritative and passed through."""
+        answer = await self.state.forward(node, "/simulate", obj)
+        if answer is None:
+            return LOST, None
+        status, doc = answer
+        if 0 < status < 500 and isinstance(doc, dict):
+            self.registry.counter(
+                "cluster.forwarded", node=node.node_id
+            ).add(1)
+            return USABLE, answer
+        return self.state.note_failure(node)
 
     async def _forward_batch(self, obj: Any) -> Tuple[int, Any]:
         if not isinstance(obj, dict) or not isinstance(

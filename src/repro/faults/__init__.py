@@ -3,9 +3,10 @@
 ``plan``/``injector`` are the injection side: a seeded, rule-based
 :class:`FaultPlan` activated via ``REPRO_FAULTS`` (or
 ``ReproConfig.faults``) that fires at named points in the hot paths and
-is a no-op when unset.  ``breaker`` and ``supervisor`` are the
-resilience side: the circuit breaker used by the service scheduler and
-the supervised worker pool used by the sweep executor.
+is a no-op when unset.  ``breaker``, ``policy`` and ``supervisor`` are
+the resilience side: the circuit breaker, the one retry/hedge loop the
+service scheduler and the cluster coordinator share, and the supervised
+worker pool used by the sweep executor.
 
 ``degrade`` (analytic fallback) and ``chaos`` (the ``repro chaos``
 harness) are deliberately *not* re-exported here: they sit above the

@@ -1,7 +1,9 @@
 """A classic three-state circuit breaker (closed → open → half-open).
 
 The service scheduler feeds it two failure signals: compute failures
-that exhausted their retries, and admission-queue saturation.  While
+that exhausted their retries, and admission-queue saturation.  The
+coordinator keeps one per worker node, fed by
+:class:`~repro.faults.policy.CallPolicy` with each call's outcome.  While
 open, the service answers compute-path traffic with the cheap analytic
 degraded response instead of queueing work it cannot finish; after
 ``cooldown_s`` a bounded number of half-open probe requests are let
@@ -120,6 +122,16 @@ class CircuitBreaker:
             self._failures = 0
             if self._state != STATE_CLOSED:
                 self._transition(STATE_CLOSED)
+
+    def release(self) -> None:
+        """An allowed request ended without an outcome (it never reached
+        its target, or was cancelled): hand its half-open probe back."""
+        with self._lock:
+            if (
+                self._state == STATE_HALF_OPEN
+                and self._probes_left < self.half_open_probes
+            ):
+                self._probes_left += 1
 
     def record_failure(self, now: float) -> None:
         """A compute-path request failed (or the queue saturated)."""

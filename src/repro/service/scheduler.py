@@ -13,11 +13,12 @@ into resolved responses, in three tiers:
    cache, so a ``repro sweep`` run pre-warms the service.
 3. **Compute** — remaining fingerprints go to the PR-1
    :class:`~repro.sweep.executor.SweepExecutor` (process-pool fan-out)
-   on a dispatch thread, with bounded retry-with-jitter around worker
-   failure and an optional *hedged* second attempt
-   (``hedge_delay_s``) racing a straggling primary.  Results are
-   persisted by the executor's own write path, so every other tier
-   benefits next time.
+   on the one dispatch thread.  A failed dispatch is retried under the
+   shared :class:`~repro.faults.policy.CallPolicy`: ``max_retries``
+   retries, each after ``min(1 s, retry_backoff_s * 2**(k-1))`` plus
+   up to ``retry_jitter_s`` of seeded jitter.  Results are persisted by
+   the executor's own write path, so every other tier benefits next
+   time.
 
 Compute failures (retry exhaustion, or points the supervised pool
 resolved to explicit failure records) feed a
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import asyncio
 import platform
-import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -48,6 +48,7 @@ from ..errors import ReproError
 from ..faults.breaker import CircuitBreaker
 from ..faults.degrade import analytic_estimate
 from ..faults.injector import fire
+from ..faults.policy import RETRY, USABLE, CallPolicy, Verdict
 from ..obs.slo import SLOEngine, parse_slo_config
 from ..obs.trace import TraceContext, close_span, mint_context, open_span
 from ..obs.tsdb import TimeSeriesStore
@@ -80,12 +81,9 @@ class ServiceSettings:
     max_retries: int = 2
     retry_backoff_s: float = 0.05
     retry_jitter_s: float = 0.05
-    retry_seed: int = 0
-    dispatch_threads: int = 1
     degrade: bool = True
     breaker_threshold: int = 5
     breaker_cooldown_s: float = 2.0
-    hedge_delay_s: Optional[float] = None  # None = hedged retry off
     #: Distributed-tracing sample rate in [0, 1]; 0 = tracing off.
     #: Requires telemetry to be enabled (``repro serve --trace-sample``
     #: flips it on) — the decision per request is deterministic from the
@@ -118,7 +116,13 @@ class Scheduler:
         self.executor = executor
         self.settings = settings
         self.registry = registry or MetricsRegistry()
-        self._rng = random.Random(settings.retry_seed)
+        self.policy = CallPolicy(
+            attempts=settings.max_retries + 1,
+            backoff_s=settings.retry_backoff_s,
+            jitter_s=settings.retry_jitter_s,
+            registry=self.registry,
+            name="service",
+        )
         self.breaker = CircuitBreaker(
             name="service",
             failure_threshold=settings.breaker_threshold,
@@ -126,29 +130,10 @@ class Scheduler:
             registry=self.registry,
         )
         self._pool = ThreadPoolExecutor(
-            # One spare thread so a hedge can run while the primary is
-            # still occupying its dispatch slot.
-            max_workers=max(1, settings.dispatch_threads)
-            + (1 if settings.hedge_delay_s is not None else 0),
-            thread_name_prefix="repro-service-dispatch",
+            max_workers=1, thread_name_prefix="repro-service-dispatch"
         )
         #: fingerprint -> future resolving to the computed record.
         self._inflight: Dict[str, "asyncio.Future"] = {}
-        #: (kind, payload) -> fingerprint.  SHA-256 over canonical JSON
-        #: costs ~40 us; replayed sweep points hit this dict instead.
-        self._key_cache: Dict[tuple, str] = {}
-
-    def cache_key(self, kind: str, payload: tuple) -> str:
-        memo_key = (kind, payload)
-        try:
-            cached = self._key_cache.get(memo_key)
-        except TypeError:  # unhashable payload: compute every time
-            return self.executor.cache_key(kind, payload)
-        if cached is None:
-            cached = self.executor.cache_key(kind, payload)
-            if len(self._key_cache) < 65536:
-                self._key_cache[memo_key] = cached
-        return cached
 
     # -- batch resolution -----------------------------------------------------
     async def dispatch(self, batch: MicroBatch) -> None:
@@ -195,97 +180,36 @@ class Scheduler:
                 continue
             self._resolve(batch.entries[key], record, "coalesced", started)
 
-    def _traced_run(
-        self,
-        kind: str,
-        payloads: List[tuple],
-        parent_id: str,
-        trace_ids: tuple,
-    ) -> List[dict]:
-        """Executor run wrapped in a ``scheduler.dispatch`` span.
+    def _run(self, batch: MicroBatch, payloads: List[tuple]) -> List[dict]:
+        """One executor run, on the dispatch thread.
 
-        Runs *on the dispatch thread*, so the span sits on that thread's
-        stack: the executor's ``sweep.stage`` span nests under it
-        naturally, and worker spans shipped back re-parent below the
-        stage — stitching the cross-thread (and cross-process) tree
-        under the batch span named by *parent_id*.
+        A traced batch wraps it in a ``scheduler.dispatch`` span.  The
+        span sits on the dispatch thread's stack, so the executor's
+        ``sweep.stage`` span nests under it naturally, and worker spans
+        shipped back re-parent below the stage — stitching the
+        cross-thread (and cross-process) tree under the batch span.
         """
-        recorder = get_telemetry().recorder
-        with recorder.span(
+        kind = batch.kind
+        telemetry = get_telemetry()
+        if batch.trace_span_id is None or not telemetry.enabled:
+            return self.executor.run(kind, payloads, f"service-{kind}")
+        with telemetry.recorder.span(
             "scheduler.dispatch",
             category="service",
-            parent_id=parent_id,
+            parent_id=batch.trace_span_id,
             kind=kind,
             points=len(payloads),
-            trace_ids=list(trace_ids),
+            trace_ids=list(batch.trace_ids),
         ):
             return self.executor.run(kind, payloads, f"service-{kind}")
-
-    async def _run_dispatch(
-        self, loop: "asyncio.AbstractEventLoop", kind: str,
-        payloads: List[tuple], batch: Optional[MicroBatch] = None,
-    ) -> List[dict]:
-        """One dispatch to the executor, optionally hedged.
-
-        With ``hedge_delay_s`` set, a primary that has not answered
-        within the delay races a second identical attempt; the first
-        to finish wins (measurements are pure functions of the point,
-        so either result is correct).  The loser's outcome is consumed
-        and discarded.
-        """
-        trace_span_id = batch.trace_span_id if batch is not None else None
-
-        def run() -> "asyncio.Future":
-            if trace_span_id is not None and get_telemetry().enabled:
-                return loop.run_in_executor(
-                    self._pool,
-                    self._traced_run,
-                    kind,
-                    payloads,
-                    trace_span_id,
-                    batch.trace_ids,
-                )
-            return loop.run_in_executor(
-                self._pool,
-                self.executor.run,
-                kind,
-                payloads,
-                f"service-{kind}",
-            )
-
-        if self.settings.hedge_delay_s is None:
-            return await run()
-        primary = asyncio.ensure_future(run())
-        try:
-            return await asyncio.wait_for(
-                asyncio.shield(primary), self.settings.hedge_delay_s
-            )
-        except asyncio.TimeoutError:
-            pass
-        self.registry.counter("service.hedges").add(1)
-        hedge = asyncio.ensure_future(run())
-        done, pending = await asyncio.wait(
-            {primary, hedge}, return_when=asyncio.FIRST_COMPLETED
-        )
-        winner = done.pop()
-        if winner is hedge:
-            self.registry.counter("service.hedge_wins").add(1)
-        for leftover in done | pending:
-            # The loser runs to completion on its thread; swallow its
-            # eventual outcome so nothing warns about an unretrieved
-            # exception.
-            leftover.add_done_callback(
-                lambda f: f.exception() if not f.cancelled() else None
-            )
-        return winner.result()
 
     async def _compute(
         self, batch: MicroBatch, keys: List[str], started: float
     ) -> None:
         loop = asyncio.get_running_loop()
         payloads = [batch.entries[key][0].payload for key in keys]
-        attempt = 0
-        while True:
+
+        async def attempt(_executor: SweepExecutor) -> Verdict:
             try:
                 decision = fire("scheduler.dispatch")
                 if decision is not None:
@@ -304,29 +228,29 @@ class Scheduler:
                         raise asyncio.TimeoutError(
                             "injected dispatch timeout"
                         )
-                records = await self._run_dispatch(
-                    loop, batch.kind, payloads, batch
+                return USABLE, await loop.run_in_executor(
+                    self._pool, self._run, batch, payloads
                 )
-                break
             except Exception as exc:
-                if attempt >= self.settings.max_retries:
-                    self.registry.counter("service.errors").add(len(keys))
-                    self.breaker.record_failure(loop.time())
-                    for key in keys:
-                        self._fail(
-                            batch.entries[key],
-                            "compute_failed",
-                            f"{type(exc).__name__}: {exc}",
-                            retries=attempt,
-                        )
-                    return
-                attempt += 1
-                self.registry.counter("service.retries").add(1)
-                delay = (
-                    self.settings.retry_backoff_s * (2 ** (attempt - 1))
-                    + self._rng.uniform(0, self.settings.retry_jitter_s)
+                return RETRY, exc
+
+        outcome = await self.policy.call(
+            lambda _tried: (self.executor,), attempt
+        )
+        retries = outcome.attempts - 1
+        if not outcome.ok:
+            exc = outcome.value
+            self.registry.counter("service.errors").add(len(keys))
+            self.breaker.record_failure(loop.time())
+            for key in keys:
+                self._fail(
+                    batch.entries[key],
+                    "compute_failed",
+                    f"{type(exc).__name__}: {exc}",
+                    retries=retries,
                 )
-                await asyncio.sleep(delay)
+            return
+        records = outcome.value
         self.registry.counter("service.computed").add(len(keys))
         now = loop.time()
         for key, record in zip(keys, records):
@@ -343,7 +267,7 @@ class Scheduler:
                     batch.entries[key],
                     "compute_failed",
                     str(record.get("error") or "sweep point failed"),
-                    retries=attempt,
+                    retries=retries,
                 )
                 continue
             self.breaker.record_success(now)
@@ -351,7 +275,7 @@ class Scheduler:
                 inflight.set_result(record)
             self._resolve(
                 batch.entries[key], record, "computed", started,
-                retries=attempt,
+                retries=retries,
             )
 
     # -- waiter resolution ----------------------------------------------------
@@ -603,7 +527,7 @@ class ReductionService:
             return incoming if incoming.sampled else None
         try:
             kind, payload = request.payload()
-            key = self.scheduler.cache_key(kind, payload)
+            key = self.executor.cache_key(kind, payload)
         except ReproError:
             return None  # the untraced path will produce the error
         return mint_context(
@@ -661,7 +585,7 @@ class ReductionService:
         self._c_requests.add(1)
         try:
             kind, payload = request.payload()
-            key = self.scheduler.cache_key(kind, payload)
+            key = self.executor.cache_key(kind, payload)
         except ReproError as exc:
             self._c_err.add(1)
             return SimResponse.error(

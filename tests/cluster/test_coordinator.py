@@ -8,6 +8,7 @@ protocol (``/cluster/join``, ``/cluster/compute``, forwarded
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -22,12 +23,52 @@ from repro.service import ReductionService, ServiceHTTPServer, ServiceSettings
 from repro.sweep.executor import SweepExecutor
 
 
-def _node_server(machine, port=0):
-    executor = SweepExecutor(machine, workers=1, cache=None)
+def _node_server(machine, port=0, executor=None):
+    executor = executor or SweepExecutor(machine, workers=1, cache=None)
     service = ReductionService(
         machine, executor=executor, settings=ServiceSettings()
     )
     return NodeHTTPServer(service, "127.0.0.1", port)
+
+
+class SlowExecutor(SweepExecutor):
+    """Sleeps ``delay`` seconds (on the dispatch thread) before each run."""
+
+    delay = 0.0
+
+    def run(self, kind, payloads, stage):
+        time.sleep(self.delay)
+        return super().run(kind, payloads, stage)
+
+
+async def _start_nodes(server, machine, count, executor_cls=SweepExecutor):
+    """Start *count* in-process nodes and wait until all have joined."""
+    nodes, agents = [], []
+    for _ in range(count):
+        node = _node_server(
+            machine,
+            executor=executor_cls(machine, workers=1, cache=None),
+        )
+        await node.start()
+        agent = NodeAgent(server.address, node)
+        agent.start()
+        nodes.append(node)
+        agents.append(agent)
+    for agent in agents:
+        await asyncio.wait_for(agent.joined.wait(), timeout=10)
+    return nodes, agents
+
+
+async def _stop_nodes(nodes, agents):
+    for agent in agents:
+        await agent.stop()
+    for node in nodes:
+        await node.stop()
+        node.service.executor.close()
+
+
+def _count(server, name, **labels):
+    return server.registry.value(name, **labels) or 0
 
 
 def _settings(**overrides):
@@ -394,3 +435,252 @@ class TestClusterJobs:
         assert verdict["byte_identical"] is True
         assert verdict["wrong_points"] == 0
         assert verdict["missing_points"] == 0
+
+
+def _job_spec():
+    """Six points, one chunk each."""
+    from repro.jobs import JobSpec
+
+    return JobSpec(
+        case="C1", teams=(64, 128, 256), v=(2,), threads=(32, 64), trials=2,
+        checkpoint_interval=1, shard_records=4,
+    )
+
+
+def _truth(machine, spec, directory):
+    from repro.jobs import run_job
+
+    executor = SweepExecutor(machine, workers=1, cache=None)
+    try:
+        run_job(directory, spec, executor)
+    finally:
+        executor.close()
+
+
+class TestCallPolicyRouting:
+    """/simulate forwarding and job chunks share one call policy."""
+
+    def test_walk_past_a_suspect_node_keeps_its_probe(self):
+        from repro.cluster.coordinator import ClusterState
+        from repro.cluster.membership import ALIVE, SUSPECT
+        from repro.faults.policy import USABLE
+        from repro.telemetry.metrics import MetricsRegistry
+
+        state = ClusterState(
+            CoordinatorSettings(breaker_threshold=1, breaker_cooldown_s=0.0),
+            "fp", MetricsRegistry(),
+        )
+        for node_id in ("A", "B"):
+            state.register(
+                {"url": "http://127.0.0.1:1", "machine": "fp",
+                 "node_id": node_id}
+            )
+        key = next(
+            k for k in (f"key-{i}" for i in range(1000))
+            if state.ring.preference(k, count=2)[0] == "A"
+        )
+        policy = state.policy()
+
+        async def attempt(node):
+            return USABLE, node.node_id
+
+        def walk():
+            return asyncio.run(
+                policy.call(
+                    lambda tried: state.candidates(key, tried), attempt
+                )
+            ).value
+
+        a = state.membership.get("A")
+        state.breaker_for("A").record_failure(time.monotonic())  # A fails
+        a.state = SUSPECT
+        assert walk() == "B"  # ALIVE before SUSPECT
+        # A was walked past, not called: its breaker keeps its probe.
+        assert state.breaker_for("A").state == "open"
+        a.state = ALIVE
+        assert [walk() for _ in range(20)] == ["A"] * 20
+        assert state.breaker_for("A").state == "closed"
+
+    def test_slow_node_loses_to_the_hedge(self, machine):
+        from repro.service.api import parse_request
+
+        async def scenario(server):
+            nodes, agents = await _start_nodes(
+                server, machine, 2, executor_cls=SlowExecutor
+            )
+            try:
+                key = server._routing_key(parse_request(dict(SIM)))
+                owner = server.state.candidates(key, [])
+                by_url = {node.address: node for node in nodes}
+                by_url[owner[0].url].service.executor.delay = 1.0
+                ids = [node.node_id for node in owner]
+                before = [
+                    _count(server, "cluster.forwarded", node=i) for i in ids
+                ]
+                hedges = _count(server, "cluster.hedges")
+                status, doc = await request_json(
+                    server.address, "POST", "/simulate", dict(SIM)
+                )
+                after = [
+                    _count(server, "cluster.forwarded", node=i) for i in ids
+                ]
+                return (
+                    status, doc, _count(server, "cluster.hedges") - hedges,
+                    [a - b for a, b in zip(after, before)],
+                )
+            finally:
+                await _stop_nodes(nodes, agents)
+
+        status, doc, hedges, forwarded = _run(
+            machine, scenario, _settings(hedge_delay_s=0.05)
+        )
+        assert status == 200 and doc["source"] == "computed"
+        assert hedges == 1
+        assert forwarded == [0, 1]  # the answer came from the second node
+
+    def test_dropped_assignment_does_not_blame_the_node(self, machine):
+        from repro.faults.injector import injected
+
+        async def scenario(server):
+            nodes, agents = await _start_nodes(server, machine, 1)
+            try:
+                with injected("seed=1;cluster.assign:error:count=3"):
+                    faulted = [
+                        await request_json(
+                            server.address, "POST", "/simulate", dict(SIM)
+                        )
+                        for _ in range(3)
+                    ]
+                breaker = server.state.breaker_for(nodes[0].node_id).state
+                clean = await request_json(
+                    server.address, "POST", "/simulate", dict(SIM)
+                )
+                return faulted, breaker, clean
+            finally:
+                await _stop_nodes(nodes, agents)
+
+        faulted, breaker, (status, doc) = _run(
+            machine, scenario, _settings(breaker_threshold=3)
+        )
+        # The only node's assignment was dropped: nothing was computed.
+        assert all(d["degraded"] for _s, d in faulted)
+        assert breaker == "closed"
+        assert status == 200 and doc["source"] == "computed"
+        assert not doc.get("degraded")
+
+    def test_dropped_chunk_assignment_does_not_blame_the_node(
+        self, machine, tmp_path
+    ):
+        from repro.faults.chaos import _compare_job_dirs
+        from repro.faults.injector import injected
+
+        spec = _job_spec()
+        _truth(machine, spec, tmp_path / "truth")
+
+        async def scenario(server):
+            nodes, agents = await _start_nodes(server, machine, 1)
+            loop = asyncio.get_running_loop()
+            node_id = nodes[0].node_id
+
+            def counts():
+                return [
+                    _count(server, "cluster.chunks_local"),
+                    _count(server, "cluster.chunks_remote"),
+                    _count(server, "cluster.forward_failures", node=node_id),
+                ]
+
+            try:
+                before = counts()
+                with injected("seed=1;cluster.assign:error:count=3"):
+                    job_id = server.jobs.submit(spec)["id"]
+                    status = await loop.run_in_executor(
+                        None, server.jobs.wait, job_id, 120.0
+                    )
+                delta = [a - b for a, b in zip(counts(), before)]
+                breaker = server.state.breaker_for(node_id).state
+                return job_id, status, delta, breaker
+            finally:
+                await _stop_nodes(nodes, agents)
+
+        job_id, status, delta, breaker = _run(
+            machine, scenario,
+            _settings(jobs_dir=str(tmp_path / "jobs"), breaker_threshold=1),
+        )
+        assert status["state"] == "DONE"
+        # Three chunks lost their assignment and ran locally; the node
+        # was never blamed, so the rest still went to it.
+        assert delta == [3, spec.total_points() - 3, 0]
+        assert breaker == "closed"
+        verdict = _compare_job_dirs(
+            tmp_path / "truth", tmp_path / "jobs" / job_id
+        )
+        assert verdict["byte_identical"] is True
+
+    def test_conflicting_chunk_fails_without_a_retry(self, machine):
+        from repro.cluster.coordinator import ClusterJobExecutor, ClusterState
+        from repro.telemetry.metrics import MetricsRegistry
+
+        spec = _job_spec()
+
+        async def scenario(server):
+            # A private state and registry: the conflict counter must not
+            # leak into the process-wide registry other tests read.
+            state = ClusterState(
+                server.settings, server.machine_fingerprint, MetricsRegistry()
+            )
+            nodes = [_node_server(machine) for _ in range(2)]
+            for node in nodes:
+                await node.start()
+                state.register(
+                    {"url": node.address,
+                     "machine": server.machine_fingerprint}
+                )
+            loop = asyncio.get_running_loop()
+            local = SweepExecutor(machine, workers=1, cache=None)
+            executor = ClusterJobExecutor(state, spec, local)
+            try:
+                key = executor._chunk_key(0, 1)
+                # Another node already answered this chunk, differently.
+                state.assigner.assign(key, "ghost")
+                state.assigner.complete(key, "ghost", "0" * 64)
+                assignments = state.assigner.assignments
+                payloads = list(spec.payloads())[:1]
+                with pytest.raises(RuntimeError, match="conflicting results"):
+                    await loop.run_in_executor(
+                        None, executor._resolve_chunk,
+                        "gpu_point", payloads, 0, "job",
+                    )
+                return (
+                    state.assigner.assignments - assignments,
+                    state.registry.value("cluster.chunk_conflicts"),
+                )
+            finally:
+                executor.close()
+                await _stop_nodes(nodes, [])
+
+        assert _run(machine, scenario) == (1, 1)
+
+    def test_empty_ring_computes_chunks_locally(self, machine):
+        from repro.cluster.coordinator import ClusterJobExecutor, ClusterState
+        from repro.telemetry.metrics import MetricsRegistry
+
+        spec = _job_spec()
+        payloads = list(spec.payloads())
+        registry = MetricsRegistry()
+        state = ClusterState(_settings(), "fp", registry)
+        local = SweepExecutor(machine, workers=1, cache=None)
+        executor = ClusterJobExecutor(state, spec, local)
+        records = {}
+        try:
+            done = executor.run_streaming(
+                "gpu_point", payloads, "job", records.__setitem__,
+                chunk_size=2,
+            )
+        finally:
+            executor.close()
+        direct = SweepExecutor(machine, workers=1, cache=None)
+        assert done == len(payloads)
+        assert [records[i] for i in range(done)] == direct.run(
+            "gpu_point", payloads, "direct"
+        )
+        assert registry.value("cluster.chunks_local") == 3

@@ -1,5 +1,8 @@
 """Circuit-breaker state machine: closed -> open -> half-open -> closed."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.faults import (
@@ -56,6 +59,50 @@ class TestTransitions:
         assert breaker.allow(now=2.0)
         assert breaker.allow(now=2.0)
         assert not breaker.allow(now=2.0)  # probes exhausted, still no verdict
+
+    def test_release_hands_a_spent_probe_back_once(self):
+        breaker = _breaker(failure_threshold=1, cooldown_s=1.0)
+        breaker.record_failure(0.0)
+        assert breaker.allow(now=2.0)
+        assert not breaker.allow(now=2.0)
+        breaker.release()  # the probe never reached its target
+        breaker.release()  # a second release cannot exceed the budget
+        assert breaker.state == STATE_HALF_OPEN
+        assert breaker.allow(now=2.0)
+        assert not breaker.allow(now=2.0)
+
+    def test_release_is_a_no_op_when_closed(self):
+        breaker = _breaker()
+        breaker.release()
+        assert breaker.state == STATE_CLOSED
+        assert breaker.allow(now=0.0)
+
+    def test_concurrent_probe_and_release_keep_the_budget(self):
+        breaker = _breaker(
+            failure_threshold=1, cooldown_s=1.0, half_open_probes=2,
+        )
+        breaker.record_failure(0.0)
+
+        def churn():
+            for _ in range(2000):
+                if breaker.allow(now=2.0):
+                    breaker.release()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        # Every probe taken was handed back: exactly the budget is left.
+        assert [breaker.allow(now=2.0) for _ in range(3)] == [
+            True, True, False,
+        ]
 
     def test_successful_probe_closes(self):
         breaker = _breaker(failure_threshold=1, cooldown_s=1.0)
