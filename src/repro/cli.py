@@ -1283,7 +1283,6 @@ def _cmd_chaos(args, machine: Machine, executor) -> int:
                 error_budget=args.error_budget,
                 recovery_slo_s=args.recovery_slo,
                 preset=args.preset,
-                functional_cap=args.functional_cap,
             )
         )
         print(report.render())

@@ -26,7 +26,6 @@ from ..gpu.kernels import ReductionKernel
 from ..gpu.perf import KernelTiming
 from ..openmp.data_env import DeviceDataEnvironment
 from ..openmp.reduction_ops import required_arrays
-from ..telemetry.state import get_telemetry
 from ..util.units import gb_per_s
 from .baseline import baseline_program
 from .cases import Case
@@ -38,9 +37,6 @@ __all__ = ["TRIALS", "Measurement", "measure_gpu_reduction"]
 
 #: The paper's trial count (N = 200).
 TRIALS = 200
-
-#: Per-machine memo bound for the measurement fast path.
-_MEMO_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -86,31 +82,16 @@ def measure_gpu_reduction(
     ``op`` selects the reduction identifier; the default ``"+"`` is the
     paper's sum, and alternative identifiers (``min``/``max``/``argmax``/
     ``dot``) rewrite the listing's reduction clause before compiling.
+
+    Every call compiles (through the process-wide compile cache),
+    launches, prices and executes: nothing is replayed, whatever the
+    telemetry switch says, so this stays the scalar oracle that the slab
+    (:mod:`repro.sim.batch`) is checked against.
     """
     if trials <= 0:
         raise MeasurementError(f"trials must be positive, got {trials}")
 
     do_verify = machine.config.strict_verify if verify is None else verify
-
-    # Memoized fast path: the measurement pipeline is a pure function of
-    # (case, config, trials, do_verify) on a given machine, so repeat
-    # points replay the memoized Measurement (and its launch record, to
-    # keep the trace's profiler observables identical).  Only successes
-    # are stored — every error path below re-raises with the scalar
-    # pipeline's exact sequencing.  Disabled under enabled telemetry so
-    # profiled runs keep their per-point compile/launch/model spans.
-    memo = None
-    if not get_telemetry().enabled:
-        memo = machine.__dict__.setdefault("_measure_memo", {})
-        # Sum keeps the historical 4-tuple key so pre-op memo behaviour
-        # (and any key a test pins) is unchanged; other ops append theirs.
-        key = ((case, config, trials, do_verify) if op == "+"
-               else (case, config, trials, do_verify, op))
-        hit = memo.get(key)
-        if hit is not None:
-            measurement, launch = hit
-            machine.trace.record_launch(launch)
-            return measurement
 
     if config is None:
         program = baseline_program(case)
@@ -171,8 +152,4 @@ def measure_gpu_reduction(
         value=value,
         peak_bandwidth_gbs=machine.system.peak_gpu_bandwidth_gbs,
     )
-    if memo is not None:
-        if len(memo) >= _MEMO_CAP:
-            memo.clear()
-        memo[key] = (measurement, machine.trace.kernel_launches[-1])
     return measurement

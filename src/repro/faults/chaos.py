@@ -645,6 +645,15 @@ def _compare_job_dirs(truth_dir: Any, job_dir: Any) -> Dict[str, Any]:
     }
 
 
+def _machine_flags(machine: Any) -> List[str]:
+    """Global ``repro`` flags that carry *machine*'s functional cap and
+    machine profile into a subprocess: the CLI's ``--functional-cap`` and
+    ``--machine-profile``, all that a CLI-built machine can differ in."""
+    config = machine.config
+    return ["--functional-cap", str(config.functional_elements_cap),
+            "--machine-profile", config.machine_profile]
+
+
 def run_job_kill_chaos(
     machine: Any,
     seed: int = 7,
@@ -705,7 +714,8 @@ def run_job_kill_chaos(
             + os.pathsep + env.get("PYTHONPATH", "")
         ).rstrip(os.pathsep)
         command = [
-            sys.executable, "-m", "repro", "--no-cache", "job", "run",
+            sys.executable, "-m", "repro", "--no-cache",
+            *_machine_flags(machine), "job", "run",
             "--quiet", "--dir", str(job_dir),
             "--case", spec.case,
             "--teams", ",".join(map(str, spec.teams)),
@@ -941,15 +951,15 @@ async def run_node_kill_chaos(
     timeout_s: float = 300.0,
     preset: str = "small",
     spec: Any = None,
-    functional_cap: Optional[int] = None,
 ) -> NodeKillReport:
     """SIGKILL a live worker node mid-storm and mid-job; verify recovery.
 
     The coordinator runs in-process (so the report can read membership
     and the assigner directly); the worker nodes are real ``repro node``
-    subprocesses.  ``functional_cap`` must match the ``machine`` the
-    caller passes, or the nodes' fingerprints will not match and every
-    join is rejected.
+    subprocesses built from *machine*'s configuration, so their
+    fingerprints match and their joins are accepted.  The chunk counters
+    are reported as deltas over the scenario: the coordinator's registry
+    is process-wide.
     """
     import os
     import subprocess
@@ -1008,6 +1018,7 @@ async def run_node_kill_chaos(
         server = CoordinatorHTTPServer(
             machine, settings, host="127.0.0.1", port=0
         )
+        before = server.registry.snapshot()
         await server.start()
         procs: List[Any] = []
         try:
@@ -1017,11 +1028,9 @@ async def run_node_kill_chaos(
                 str(Path(__file__).resolve().parents[2])
                 + os.pathsep + env.get("PYTHONPATH", "")
             ).rstrip(os.pathsep)
-            command = [sys.executable, "-m", "repro", "--workers", "1",
-                       "--no-cache"]
-            if functional_cap is not None:
-                command += ["--functional-cap", str(functional_cap)]
-            command += [
+            command = [
+                sys.executable, "-m", "repro", "--workers", "1",
+                "--no-cache", *_machine_flags(machine),
                 "node", "--coordinator", server.address,
                 "--host", "127.0.0.1", "--port", "0", "--quiet",
             ]
@@ -1137,19 +1146,16 @@ async def run_node_kill_chaos(
                 report.missing_points = verdict["missing_points"]
                 report.byte_identical = verdict["byte_identical"]
 
-            snapshot = server.registry.snapshot()
-            report.chunks_remote = _counter_total(
-                snapshot, "cluster.chunks_remote"
-            )
-            report.chunks_local = _counter_total(
-                snapshot, "cluster.chunks_local"
-            )
-            report.chunks_reassigned = _counter_total(
-                snapshot, "cluster.chunks_reassigned"
-            )
-            report.chunk_conflicts = _counter_total(
-                snapshot, "cluster.chunk_conflicts"
-            )
+            after = server.registry.snapshot()
+
+            def delta(name: str) -> int:
+                return (_counter_total(after, name)
+                        - _counter_total(before, name))
+
+            report.chunks_remote = delta("cluster.chunks_remote")
+            report.chunks_local = delta("cluster.chunks_local")
+            report.chunks_reassigned = delta("cluster.chunks_reassigned")
+            report.chunk_conflicts = delta("cluster.chunk_conflicts")
         finally:
             for proc in procs:
                 if proc.poll() is None:

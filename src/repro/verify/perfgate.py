@@ -1,12 +1,12 @@
 """Perf-regression gate: time the hot paths, compare to a baseline.
 
-Eight benchmarks cover the tier-1-critical paths the repo's earlier PRs
-optimized, each reported as the **best of N repeats** (minimum is the
-standard noise-robust statistic for microbenchmarks):
+Ten benchmarks cover the hot paths, each reported as the **best of N
+repeats** (minimum is the standard noise-robust statistic for
+microbenchmarks):
 
 * ``sim_microbench`` — one optimized Listing-5 measurement through the
   full compile -> launch -> perf-model -> functional-execute pipeline
-  (the unit of work every sweep point pays);
+  (the scalar oracle's unit of work; every repeat runs all of it);
 * ``warm_cache_sweep`` — a Figure-1-style teams sweep answered entirely
   from a pre-warmed persistent result cache (the PR-1 fast path that
   makes ``reproduce_paper.py`` ~100x faster than the seed);
@@ -20,7 +20,7 @@ standard noise-robust statistic for microbenchmarks):
   4096-point chunk;
 * ``telemetry_overhead`` — the sim microbench unit of work with the
   telemetry layer *enabled* (span recording on), alongside the disabled
-  time, so the cost of observability itself is gated;
+  time: one code path both ways, so the cost of the spans is gated;
 * ``stream_write`` — amortized per-record cost of the jobs result
   store's append path (:mod:`repro.jobs.store`): canonical-JSON encode,
   sequential-shard append, rotation;
@@ -28,7 +28,9 @@ standard noise-robust statistic for microbenchmarks):
   :meth:`~repro.sweep.executor.SweepExecutor.run_streaming` with
   checkpointing *on* (store flush + checkpoint + manifest every
   interval), alongside the checkpoint-free time, gating the durability
-  tax of :mod:`repro.jobs` (acceptance target: < 5% overhead).
+  tax of :mod:`repro.jobs` (acceptance target: < 5% overhead);
+* ``ring_lookup`` / ``membership_tick`` — the cluster's consistent-hash
+  owner lookup and lease sweep (:mod:`repro.cluster`).
 
 ``repro verify perf`` writes the current numbers to ``BENCH_verify.json``
 and compares them against the committed baseline with a noise-aware

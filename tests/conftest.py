@@ -4,15 +4,25 @@ The simulated clock makes everything deterministic; the main knob for test
 speed is the functional-execution cap (how many elements are actually
 summed).  ``machine`` uses a small cap so functional paths stay fast while
 the performance model still reasons about full paper-scale sizes.
+
+Telemetry state is process-global (by design: instrumentation sites must
+be able to reach it without plumbing), so a test that switches it goes
+through ``telemetry`` or ``disabled_telemetry``: each saves the enable
+flag and environment variable, wipes recorded data, and restores
+everything afterwards, so other tests always see telemetry in its
+default (disabled, empty) state.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
 
 from repro import Machine, ReproConfig
 from repro.core.cases import C1, C2, C3, C4
+from repro.telemetry import TELEMETRY_ENV, configure, get_telemetry
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +52,26 @@ def paper_case(request):
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+def _switched_telemetry(enabled: bool):
+    saved_env = os.environ.get(TELEMETRY_ENV)
+    saved_enabled = get_telemetry().enabled
+    yield configure(enabled=enabled, reset=True)
+    configure(enabled=saved_enabled, reset=True)
+    if saved_env is None:
+        os.environ.pop(TELEMETRY_ENV, None)
+    else:
+        os.environ[TELEMETRY_ENV] = saved_env
+
+
+@pytest.fixture()
+def telemetry():
+    """The global Telemetry, enabled and empty; restored on teardown."""
+    yield from _switched_telemetry(True)
+
+
+@pytest.fixture()
+def disabled_telemetry():
+    """The global Telemetry, disabled and empty; restored on teardown."""
+    yield from _switched_telemetry(False)

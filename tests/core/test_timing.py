@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import timing
 from repro.core.cases import C1, C2
+from repro.core.machine import Machine
 from repro.core.optimized import KernelConfig
 from repro.core.timing import TRIALS, measure_gpu_reduction
 from repro.errors import MeasurementError
@@ -64,3 +66,36 @@ class TestLaunchTrace:
         # Profiling observable: grid matches num_teams = teams / V.
         assert record.grid == 1024
         assert record.from_clause
+
+
+class TestNoReplay:
+    """Every call runs the whole pipeline; none replays an earlier one,
+    whatever the telemetry switch says."""
+
+    @pytest.mark.parametrize(
+        "switch", ["disabled_telemetry", "telemetry"],
+        ids=["telemetry-off", "telemetry-on"],
+    )
+    def test_repeat_point_launches_and_executes_again(
+        self, request, switch, fresh_machine, monkeypatch
+    ):
+        request.getfixturevalue(switch)
+        calls = {"run_kernel": 0, "execute_reduction": 0}
+        run_kernel = Machine.run_kernel
+        execute = timing.execute_reduction
+
+        def counting_run_kernel(self, *args, **kwargs):
+            calls["run_kernel"] += 1
+            return run_kernel(self, *args, **kwargs)
+
+        def counting_execute(*args, **kwargs):
+            calls["execute_reduction"] += 1
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(Machine, "run_kernel", counting_run_kernel)
+        monkeypatch.setattr(timing, "execute_reduction", counting_execute)
+        config = KernelConfig(teams=4096, v=4)
+        first = measure_gpu_reduction(fresh_machine, C1, config, trials=10)
+        second = measure_gpu_reduction(fresh_machine, C1, config, trials=10)
+        assert calls == {"run_kernel": 2, "execute_reduction": 2}
+        assert first == second

@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro import Machine
+from repro import Machine, ReproConfig
 from repro.faults import injector
 from repro.faults.chaos import (
     ChaosReport,
@@ -19,6 +19,7 @@ from repro.service import ReductionService, ServiceHTTPServer, ServiceSettings
 from repro.service.loadgen import preset_pool
 from repro.sweep.executor import SweepExecutor
 from repro.sweep.result_cache import ResultCache
+from repro.telemetry import metrics
 
 
 @pytest.fixture(autouse=True)
@@ -186,8 +187,6 @@ class TestJobKillReport:
 
 class TestJobKillScenario:
     def test_kill_mid_job_recovers_byte_identical(self):
-        # Truth runs in-process on a default machine — the same
-        # fingerprint the `repro job run` subprocesses compute.
         report = run_job_kill_chaos(
             Machine(), seed=5, kills=1, timeout_s=240.0,
         )
@@ -198,6 +197,19 @@ class TestJobKillScenario:
         assert report.wrong_points == 0
         assert report.duplicated_points == 0
         assert report.missing_points == 0
+        assert report.passed, report.violations
+
+    def test_runners_rebuild_the_callers_machine(self):
+        # Truth runs in-process on the caller's machine; the `repro job
+        # run` subprocesses must price on the same cap and profile.
+        machine = Machine(config=ReproConfig(
+            functional_elements_cap=1 << 16, machine_profile="v100",
+        ))
+        report = run_job_kill_chaos(machine, seed=7, kills=1,
+                                    timeout_s=240.0)
+        assert report.completed
+        assert report.wrong_points == 0
+        assert report.byte_identical
         assert report.passed, report.violations
 
 
@@ -264,9 +276,13 @@ class TestNodeKillReport:
 
 class TestNodeKillScenario:
     def test_node_kill_recovers_byte_identical(self, machine):
+        # Counts from earlier in the process are not the scenario's: the
+        # coordinator's registry is process-wide.
+        metrics().counter("cluster.chunk_conflicts").add(1)
+        metrics().counter("cluster.chunks_remote").add(1)
         report = asyncio.run(run_node_kill_chaos(
             machine, seed=11, nodes=2, duration_s=3.0, clients=2,
-            timeout_s=240.0, functional_cap=1 << 16,
+            timeout_s=240.0,
         ))
         assert report.nodes_joined == 2
         assert report.kills >= 1

@@ -1,11 +1,11 @@
 """Observability test fixtures.
 
-Both the telemetry layer and the flight recorder are process-global (by
-design: instrumentation sites reach them without plumbing), so every
-test goes through a fixture that saves the flag and environment
-variable, resets to a known state, and restores everything afterwards —
-tests in other directories always see both in their default (disabled,
-empty) state.
+The flight recorder is process-global (by design: instrumentation sites
+reach it without plumbing), so every test goes through a fixture that
+saves the environment variable, resets to a known state, and restores
+everything afterwards — tests in other directories always see it in its
+default (disabled) state.  The telemetry fixtures live in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -15,21 +15,6 @@ import os
 import pytest
 
 from repro.obs.flight import FLIGHT_ENV, configure_flight
-from repro.telemetry import TELEMETRY_ENV, configure, get_telemetry
-
-
-@pytest.fixture()
-def telemetry():
-    """The global Telemetry, enabled and empty; restored on teardown."""
-    saved_env = os.environ.get(TELEMETRY_ENV)
-    saved_enabled = get_telemetry().enabled
-    tel = configure(enabled=True, reset=True)
-    yield tel
-    configure(enabled=saved_enabled, reset=True)
-    if saved_env is None:
-        os.environ.pop(TELEMETRY_ENV, None)
-    else:
-        os.environ[TELEMETRY_ENV] = saved_env
 
 
 @pytest.fixture()

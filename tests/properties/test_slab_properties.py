@@ -116,7 +116,7 @@ class TestSlabEqualsScalar:
     @given(payloads=st.lists(gpu_point_payloads(), min_size=1, max_size=6))
     @settings(max_examples=30, deadline=None)
     def test_repeat_evaluation_is_stable(self, payloads):
-        # The per-machine value/measure memos must never change results.
+        # The per-machine value memo must never change results.
         slab_machine, _ = _machines()
         first = evaluate_gpu_slab(slab_machine, payloads)
         second = evaluate_gpu_slab(slab_machine, payloads)

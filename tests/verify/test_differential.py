@@ -72,8 +72,8 @@ class TestFaultedRuns:
 
 class TestDeterminismOracles:
     """The determinism checks take their second measurement on the twin
-    machine, so a model that drifts between calls is caught instead of
-    being replayed from the first machine's measurement memo."""
+    machine, which holds nothing from the first, so a model that drifts
+    between calls is caught."""
 
     @pytest.fixture()
     def drifting_model(self, monkeypatch):

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from repro.core import timing
 from repro.verify.perfgate import (
     BenchReport,
     DEFAULT_THRESHOLD,
+    _bench_sim_microbench,
     compare_benchmarks,
     default_baseline_path,
     run_perf_suite,
@@ -80,6 +82,23 @@ class TestSuite:
     def test_describe_lists_benchmarks(self, report):
         text = report.describe()
         assert "sim_microbench" in text and "ms" in text
+
+    def test_sim_microbench_times_the_whole_pipeline(
+        self, fresh_machine, monkeypatch
+    ):
+        # One warm-up call plus one per repeat, each of which must run
+        # the functional executor: a replayed measurement would time a
+        # lookup instead of the model.
+        calls = []
+        execute = timing.execute_reduction
+
+        def counting_execute(*args, **kwargs):
+            calls.append(1)
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(timing, "execute_reduction", counting_execute)
+        _bench_sim_microbench(fresh_machine, repeats=2)
+        assert len(calls) == 3
 
 
 class TestCompare:
