@@ -46,6 +46,7 @@ from repro.sweep import SweepExecutor, open_result_cache
 from repro.telemetry import (
     configure as configure_telemetry,
     get_telemetry,
+    publish_counts,
     render_summary,
     span,
     write_chrome_trace,
@@ -106,9 +107,7 @@ def main() -> None:
 
     if args.trace_out:
         telemetry = get_telemetry()
-        from repro.cli import _publish_cache_metrics
-
-        _publish_cache_metrics(executor, telemetry.registry)
+        publish_counts(telemetry.registry, machine.trace, cache)
         print()
         print(render_summary(telemetry.recorder.snapshot(),
                              telemetry.registry))

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -88,6 +88,7 @@ from .telemetry import (
     Span,
     configure as configure_telemetry,
     get_telemetry,
+    publish_counts,
     render_flame,
     render_summary,
     span as tele_span,
@@ -826,7 +827,7 @@ def _configure_observability(args) -> None:
     Both switches export their state to the environment, so forked
     shards and spawned pool workers inherit them.
     """
-    if args.trace_sample and args.trace_sample > 0:
+    if getattr(args, "trace_sample", 0) > 0:
         configure_telemetry(enabled=True)
     if args.flight_dir:
         from .obs import configure_flight
@@ -834,41 +835,36 @@ def _configure_observability(args) -> None:
         configure_flight(args.flight_dir)
 
 
-def _serve_one(
-    args, machine: Machine, executor, host, port,
-    reuse_port: bool = False, quiet: bool = False,
+def _serve_until_sigterm(
+    server, role: str, label: str, details: str, quiet: bool,
+    agent: Any = None,
 ) -> int:
+    """Serve until SIGTERM or Ctrl-C, then stop; returns exit code 0.
+
+    The banner reads ``<label> listening on http://HOST:PORT<details>``.
+    SIGTERM is the black-box moment for an orderly kill: the flight
+    ring is recorded and dumped with ``role`` (and a node's id) before
+    the server stops.  A node's *agent* starts once the server is bound
+    and stops before it.
+    """
     import asyncio
     import os
     import signal
 
     from .obs.flight import flight
-    from .service import ReductionService, ServiceHTTPServer
-
-    service = ReductionService(
-        machine, executor=executor, settings=_service_settings(args)
-    )
-    server = ServiceHTTPServer(service, host, port, reuse_port=reuse_port)
 
     async def _run() -> None:
-        bound_host, bound_port = await server.start()
-        if not quiet:
-            print(f"repro service listening on "
-                  f"http://{bound_host}:{bound_port} "
-                  f"(workers={executor.workers}, "
-                  f"cache={'on' if executor.cache else 'off'}; "
-                  "Ctrl-C stops)",
-                  flush=True)
+        host, port = await server.start()
+        if agent is not None:
+            agent.start()
         serve_task = asyncio.ensure_future(server.serve_forever())
 
         def _on_term() -> None:
-            # The black-box moment for an orderly kill: flush the ring
-            # before the process unwinds.
+            fields = {} if agent is None else {"node_id": agent.node_id or ""}
             recorder = flight()
-            if recorder.enabled:
-                recorder.record("serve", "sigterm", pid=os.getpid(),
-                                host=bound_host, port=bound_port)
-                recorder.dump("sigterm", role="shard")
+            recorder.record(role, "sigterm", pid=os.getpid(), host=host,
+                            port=port, **fields)
+            recorder.dump("sigterm", role=role, **fields)
             serve_task.cancel()
 
         loop = asyncio.get_running_loop()
@@ -876,6 +872,10 @@ def _serve_one(
             loop.add_signal_handler(signal.SIGTERM, _on_term)
         except (NotImplementedError, RuntimeError, ValueError):
             pass  # non-POSIX loop or non-main thread: Ctrl-C still works
+        # The banner comes last: once it is out, SIGTERM is handled.
+        if not quiet:
+            print(f"{label} listening on http://{host}:{port}{details}",
+                  flush=True)
         try:
             await serve_task
         except asyncio.CancelledError:
@@ -885,6 +885,8 @@ def _serve_one(
                 loop.remove_signal_handler(signal.SIGTERM)
             except (NotImplementedError, RuntimeError, ValueError):
                 pass
+            if agent is not None:
+                await agent.stop()
             await server.stop()
 
     try:
@@ -893,6 +895,24 @@ def _serve_one(
         if not quiet:
             print("shutting down")
     return 0
+
+
+def _serve_one(
+    args, machine: Machine, executor, host, port,
+    reuse_port: bool = False, quiet: bool = False,
+) -> int:
+    from .service import ReductionService, ServiceHTTPServer
+
+    service = ReductionService(
+        machine, executor=executor, settings=_service_settings(args)
+    )
+    server = ServiceHTTPServer(service, host, port, reuse_port=reuse_port)
+    return _serve_until_sigterm(
+        server, "shard", "repro service",
+        f" (workers={executor.workers}, "
+        f"cache={'on' if executor.cache else 'off'}; Ctrl-C stops)",
+        quiet,
+    )
 
 
 def _latest_flight_dump(pid: int) -> Optional[str]:
@@ -985,11 +1005,10 @@ def _serve_sharded(args, machine: Machine, executor) -> int:
             from .obs.flight import flight
 
             recorder = flight()
-            if recorder.enabled:
-                recorder.record("serve", "sigterm", pid=os.getpid(),
-                                shards=args.shards)
-                recorder.dump("sigterm", role="shard-supervisor",
-                              shards=args.shards)
+            recorder.record("serve", "sigterm", pid=os.getpid(),
+                            shards=args.shards)
+            recorder.dump("sigterm", role="shard-supervisor",
+                          shards=args.shards)
         terminating = True
         for pid in list(slots):
             try:
@@ -1069,12 +1088,7 @@ def _cmd_serve(args, machine: Machine, executor) -> int:
 
 
 def _cmd_node(args, machine: Machine, executor) -> int:
-    import asyncio
-    import os
-    import signal
-
     from .cluster import NodeAgent, NodeHTTPServer
-    from .obs.flight import flight
     from .service import ReductionService
 
     _configure_observability(args)
@@ -1083,62 +1097,19 @@ def _cmd_node(args, machine: Machine, executor) -> int:
     )
     server = NodeHTTPServer(service, args.host, args.port)
     agent = NodeAgent(args.coordinator, server, node_id=args.node_id)
-
-    async def _run() -> None:
-        bound_host, bound_port = await server.start()
-        agent.start()
-        if not args.quiet:
-            print(f"repro node listening on "
-                  f"http://{bound_host}:{bound_port}, joining "
-                  f"{args.coordinator} (Ctrl-C stops)", flush=True)
-        serve_task = asyncio.ensure_future(server.serve_forever())
-
-        def _on_term() -> None:
-            recorder = flight()
-            if recorder.enabled:
-                recorder.record("node", "sigterm", pid=os.getpid(),
-                                node_id=agent.node_id or "")
-                recorder.dump("sigterm", role="node",
-                              node_id=agent.node_id or "")
-            serve_task.cancel()
-
-        loop = asyncio.get_running_loop()
-        try:
-            loop.add_signal_handler(signal.SIGTERM, _on_term)
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass
-        try:
-            await serve_task
-        except asyncio.CancelledError:
-            pass
-        finally:
-            try:
-                loop.remove_signal_handler(signal.SIGTERM)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass
-            await agent.stop()
-            await server.stop()
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        if not args.quiet:
-            print("shutting down")
-    return 0
+    return _serve_until_sigterm(
+        server, "node", "repro node",
+        f", joining {args.coordinator} (Ctrl-C stops)",
+        args.quiet, agent=agent,
+    )
 
 
 def _cmd_coordinator(args, machine: Machine, executor) -> int:
-    import asyncio
     import os
-    import signal
 
     from .cluster import CoordinatorHTTPServer, CoordinatorSettings
-    from .obs.flight import flight
 
-    if args.flight_dir:
-        from .obs import configure_flight
-
-        configure_flight(args.flight_dir)
+    _configure_observability(args)
     settings = CoordinatorSettings(
         lease_s=args.lease,
         grace_s=args.grace,
@@ -1159,48 +1130,13 @@ def _cmd_coordinator(args, machine: Machine, executor) -> int:
     server = CoordinatorHTTPServer(
         machine, settings, args.host, args.port, cache=executor.cache
     )
-
-    async def _run() -> None:
-        bound_host, bound_port = await server.start()
-        if not args.quiet:
-            print(f"repro coordinator listening on "
-                  f"http://{bound_host}:{bound_port} "
-                  f"(lease {settings.lease_s:g}s + grace "
-                  f"{settings.grace_s:g}s, {settings.vnodes} vnodes, "
-                  f"jobs={'on' if settings.jobs_dir else 'off'}; "
-                  "Ctrl-C stops)", flush=True)
-        serve_task = asyncio.ensure_future(server.serve_forever())
-
-        def _on_term() -> None:
-            recorder = flight()
-            if recorder.enabled:
-                recorder.record("coordinator", "sigterm", pid=os.getpid(),
-                                host=bound_host, port=bound_port)
-                recorder.dump("sigterm", role="coordinator")
-            serve_task.cancel()
-
-        loop = asyncio.get_running_loop()
-        try:
-            loop.add_signal_handler(signal.SIGTERM, _on_term)
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass
-        try:
-            await serve_task
-        except asyncio.CancelledError:
-            pass
-        finally:
-            try:
-                loop.remove_signal_handler(signal.SIGTERM)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass
-            await server.stop()
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        if not args.quiet:
-            print("shutting down")
-    return 0
+    return _serve_until_sigterm(
+        server, "coordinator", "repro coordinator",
+        f" (lease {settings.lease_s:g}s + grace {settings.grace_s:g}s, "
+        f"{settings.vnodes} vnodes, "
+        f"jobs={'on' if settings.jobs_dir else 'off'}; Ctrl-C stops)",
+        args.quiet,
+    )
 
 
 def _cmd_loadtest(args, machine: Machine, executor) -> int:
@@ -1770,27 +1706,6 @@ _COMMANDS = {
 }
 
 
-def _publish_cache_metrics(executor: SweepExecutor,
-                           registry: MetricsRegistry) -> None:
-    """Mirror cache counters into the registry so exports carry them."""
-    from .compiler.cache import compile_cache_stats
-
-    hits, misses, entries = compile_cache_stats()
-    registry.gauge("compiler.cache.hit_ratio").set(
-        hits / (hits + misses) if hits + misses else 0.0
-    )
-    registry.gauge("compiler.cache.entries").set(entries)
-    cache = executor.cache
-    if cache is not None:
-        registry.gauge("sweep.result_cache.hits").set(cache.hits)
-        registry.gauge("sweep.result_cache.misses").set(cache.misses)
-        registry.gauge("sweep.result_cache.stores").set(cache.stores)
-        total = cache.hits + cache.misses
-        registry.gauge("sweep.result_cache.hit_ratio").set(
-            cache.hits / total if total else 0.0
-        )
-
-
 def _cmd_profile(args) -> int:
     """``repro profile run ...`` / ``repro profile view FILE``."""
     if args.profile_command == "view":
@@ -1881,8 +1796,7 @@ def _dispatch(
         print(executor.stats.render())
         if executor.cache is not None:
             print(executor.cache.describe())
-    if telemetry.enabled:
-        _publish_cache_metrics(executor, telemetry.registry)
+    publish_counts(telemetry.registry, machine.trace, executor.cache)
     if trace_out:
         path = write_chrome_trace(
             trace_out, trace=machine.trace, registry=telemetry.registry

@@ -63,6 +63,7 @@ from ..sweep.executor import SweepExecutor
 from ..sweep.fingerprint import (
     CACHE_VERSION, fingerprint, machine_fingerprint_data,
 )
+from ..telemetry.exporters import publish_counts
 from ..telemetry.state import metrics
 from ..verify.fuzzer import case_digest
 from . import assigner as assign_mod
@@ -162,14 +163,12 @@ class ClusterState:
         self.ring.add(node.node_id)
         self._breakers.pop(node.node_id, None)  # fresh slate on (re)join
         self.registry.counter("cluster.joins_accepted").add(1)
-        recorder = flight()
-        if recorder.enabled:
-            recorder.record(
-                "cluster", "node_joined",
-                node_id=node.node_id, url=node.url,
-                generation=node.generation,
-                rejoin=previous is not None,
-            )
+        flight().record(
+            "cluster", "node_joined",
+            node_id=node.node_id, url=node.url,
+            generation=node.generation,
+            rejoin=previous is not None,
+        )
         self.refresh_gauges()
         return 200, {
             "node_id": node.node_id,
@@ -197,12 +196,11 @@ class ClusterState:
             self.registry.counter(
                 "cluster.membership_transitions", to=to_state
             ).add(1)
-            if recorder.enabled:
-                recorder.record(
-                    "cluster", "membership_transition",
-                    node_id=node_id, from_state=from_state,
-                    to_state=to_state,
-                )
+            recorder.record(
+                "cluster", "membership_transition",
+                node_id=node_id, from_state=from_state,
+                to_state=to_state,
+            )
             if to_state == DEAD:
                 self.ring.remove(node_id)
                 orphans = self.assigner.reassign_for(node_id)
@@ -211,12 +209,11 @@ class ClusterState:
                     self.registry.counter(
                         "cluster.chunks_reassigned"
                     ).add(len(orphans))
-                if recorder.enabled:
-                    recorder.record(
-                        "cluster", "node_dead",
-                        node_id=node_id, reassigned=len(orphans),
-                    )
-                    recorder.dump("node-dead", node_id=node_id)
+                recorder.record(
+                    "cluster", "node_dead",
+                    node_id=node_id, reassigned=len(orphans),
+                )
+                recorder.dump("node-dead", node_id=node_id)
         if transitions:
             self.refresh_gauges()
         return transitions
@@ -587,6 +584,7 @@ class CoordinatorHTTPServer(BaseHTTPServer):
         if path == "/metrics":
             if method != "GET":
                 raise _HTTPError(405, "use GET /metrics")
+            publish_counts(self.registry, self.machine.trace, self._cache)
             if wants_prometheus(headers.get("accept", "")):
                 text = prometheus_text(self.registry)
                 return 200, _RawBody(PROM_CONTENT_TYPE, text.encode("utf-8"))

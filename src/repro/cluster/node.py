@@ -198,12 +198,10 @@ class NodeAgent:
                 # byte-identity, so surface loudly and keep retrying (an
                 # operator fixing the config should not need a restart).
                 metrics().counter("cluster.join_rejected").add(1)
-                recorder = flight()
-                if recorder.enabled:
-                    recorder.record(
-                        "cluster", "join_rejected",
-                        status=status, error=(doc or {}).get("error"),
-                    )
+                flight().record(
+                    "cluster", "join_rejected",
+                    status=status, error=(doc or {}).get("error"),
+                )
                 await asyncio.sleep(min(5.0, delay * 4))
                 continue
             self.node_id = doc["node_id"]
@@ -212,13 +210,11 @@ class NodeAgent:
             self.server.node_id = self.node_id
             self.joined.set()
             metrics().counter("cluster.joins").add(1)
-            recorder = flight()
-            if recorder.enabled:
-                recorder.record(
-                    "cluster", "joined",
-                    node_id=self.node_id, generation=self.generation,
-                    coordinator=self.coordinator_url,
-                )
+            flight().record(
+                "cluster", "joined",
+                node_id=self.node_id, generation=self.generation,
+                coordinator=self.coordinator_url,
+            )
             return
 
     async def _run(self) -> None:

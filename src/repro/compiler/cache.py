@@ -17,6 +17,11 @@ recompiling.
 Thread safety: a single lock guards the table (sweep executors may compile
 from worker threads); the shared default compiler is stateless apart from
 its flags.
+
+The cache counts its own hits and misses whatever the telemetry switch
+says (:func:`compile_cache_stats`);
+:func:`repro.telemetry.publish_counts` publishes them as
+``compiler.cache.*`` at export time.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional, Tuple
 
-from ..telemetry.state import get_telemetry, span as tele_span
+from ..telemetry.state import span as tele_span
 from .flags import CompilerFlags
 from .nvhpc import CompiledReduction, NvhpcCompiler, ReductionLoopProgram
 
@@ -86,27 +91,21 @@ def cached_compile(
     global _HITS, _MISSES
     comp = compiler or default_compiler()
     key = _program_key(program, comp.flags)
-    telemetry = get_telemetry()
     with _LOCK:
         hit = _CACHE.get(key)
         if hit is not None:
             _HITS += 1
     if hit is not None:
-        if telemetry.enabled:
-            telemetry.registry.counter("compiler.cache.hits").add(1)
-            # A hit is still a timeline event: a warm-cache run shows
-            # where compilations were reused instead of an empty lane.
-            with tele_span(
-                "compile.cached", category="compiler", program=program.name
-            ):
-                pass
-        return hit
+        # A hit is still a timeline event: a warm-cache run shows where
+        # compilations were reused instead of an empty lane.
+        with tele_span(
+            "compile.cached", category="compiler", program=program.name
+        ):
+            return hit
     compiled = comp.compile(program)
     with _LOCK:
         _MISSES += 1
         _CACHE.setdefault(key, compiled)
-    if telemetry.enabled:
-        telemetry.registry.counter("compiler.cache.misses").add(1)
     return compiled
 
 

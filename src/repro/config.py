@@ -47,14 +47,6 @@ class ReproConfig:
         Default directory for the persistent sweep result cache when a
         driver enables it; ``None`` defers to ``REPRO_CACHE_DIR`` and
         then ``~/.cache/repro-sweep``.  Not part of cache fingerprints.
-    telemetry:
-        When ``True``, building a :class:`~repro.core.machine.Machine`
-        from this config switches on the process-global telemetry layer
-        (:mod:`repro.telemetry`): hierarchical spans, the metrics
-        registry, and the Chrome-trace exporter.  Off by default — the
-        disabled path is a no-op — and equivalent to setting
-        ``REPRO_TELEMETRY=1`` or passing ``--trace-out``.  Not part of
-        cache fingerprints (observability never changes results).
     sweep_task_timeout_s:
         Wall-clock budget per sweep task when the supervised worker pool
         runs it; a point exceeding the budget is recorded as failed in
@@ -79,14 +71,11 @@ class ReproConfig:
         PCIe comparison nodes.  The profile is *indirectly* part of cache
         fingerprints: the resolved system object is fingerprinted, so
         results from different profiles never collide.
-    flight_dir:
-        When set, building a :class:`~repro.core.machine.Machine` from
-        this config enables the crash flight recorder
-        (:mod:`repro.obs.flight`) writing black-box dumps into this
-        directory — equivalent to exporting ``REPRO_FLIGHT_DIR`` or
-        serving with ``--flight-dir``.  ``None`` (the default) leaves
-        every recording site a single attribute check.  Not part of
-        cache fingerprints (observability never changes results).
+
+    Observability is not configured here: span recording follows
+    ``REPRO_TELEMETRY`` / :func:`repro.telemetry.configure`, and the
+    flight recorder ``REPRO_FLIGHT_DIR`` / ``--flight-dir``, because both
+    are process-wide switches, not properties of one machine.
     """
 
     seed: int = 0x5C2024
@@ -94,11 +83,9 @@ class ReproConfig:
     strict_verify: bool = True
     sweep_workers: Optional[int] = None
     sweep_cache_dir: Optional[str] = None
-    telemetry: bool = False
     sweep_task_timeout_s: Optional[float] = None
     faults: Optional[str] = None
     machine_profile: str = "gh200"
-    flight_dir: Optional[str] = None
 
     def rng(self) -> np.random.Generator:
         """A fresh generator seeded from :attr:`seed`."""

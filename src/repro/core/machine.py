@@ -48,18 +48,10 @@ class Machine:
         # resolves it ("gh200" reproduces the historical grace_hopper()).
         self.system = system or system_for_profile(self.config.machine_profile)
         self.calibration = calibration or DEFAULT_CALIBRATION
-        if self.config.telemetry:
-            from ..telemetry.state import configure
-
-            configure(enabled=True)
         if self.config.faults:
             from ..faults.injector import activate
 
             activate(self.config.faults)
-        if self.config.flight_dir:
-            from ..obs.flight import configure_flight
-
-            configure_flight(self.config.flight_dir)
         self.trace = Trace()
         self.runtime = DeviceRuntime(self.system.gpu, icvs)
         self._workload_cache: Dict[tuple, np.ndarray] = {}

@@ -86,15 +86,14 @@ class CircuitBreaker:
             "breaker.transitions", breaker=self.name, to=state
         ).add(1)
         recorder = flight()
-        if recorder.enabled:
-            recorder.record(
-                "breaker", "transition",
-                breaker=self.name, from_state=previous, to_state=state,
-                failures=self._failures,
-            )
-            if state == STATE_OPEN:
-                # The black-box moment: dump what led up to the trip.
-                recorder.dump("breaker_open", breaker=self.name)
+        recorder.record(
+            "breaker", "transition",
+            breaker=self.name, from_state=previous, to_state=state,
+            failures=self._failures,
+        )
+        if state == STATE_OPEN:
+            # The black-box moment: dump what led up to the trip.
+            recorder.dump("breaker_open", breaker=self.name)
 
     def allow(self, now: float) -> bool:
         """Whether a compute-path request may proceed at time *now*.

@@ -763,15 +763,14 @@ def run_job_kill_chaos(
     report.finalize()
     if report.violations:
         recorder = flight()
-        if recorder.enabled:
-            recorder.record(
-                "chaos", "job_kill_violation",
-                seed=seed, violations=list(report.violations),
-            )
-            recorder.dump(
-                "chaos_violation", scenario="job-kill", seed=seed,
-                violations=list(report.violations),
-            )
+        recorder.record(
+            "chaos", "job_kill_violation",
+            seed=seed, violations=list(report.violations),
+        )
+        recorder.dump(
+            "chaos_violation", scenario="job-kill", seed=seed,
+            violations=list(report.violations),
+        )
     return report
 
 
@@ -1166,15 +1165,14 @@ async def run_node_kill_chaos(
     report.finalize()
     if report.violations:
         recorder = flight()
-        if recorder.enabled:
-            recorder.record(
-                "chaos", "node_kill_violation",
-                seed=seed, violations=list(report.violations),
-            )
-            recorder.dump(
-                "chaos_violation", scenario="node-kill", seed=seed,
-                violations=list(report.violations),
-            )
+        recorder.record(
+            "chaos", "node_kill_violation",
+            seed=seed, violations=list(report.violations),
+        )
+        recorder.dump(
+            "chaos_violation", scenario="node-kill", seed=seed,
+            violations=list(report.violations),
+        )
     return report
 
 
@@ -1226,16 +1224,15 @@ async def run_chaos(
     report.finalize()
     if report.violations:
         recorder = flight()
-        if recorder.enabled:
-            recorder.record(
-                "chaos", "invariant_violation",
-                seed=seed, violations=list(report.violations),
-            )
-            recorder.dump(
-                "chaos_violation",
-                seed=seed,
-                violations=list(report.violations),
-                error_rate=report.error_rate,
-                wrong_results=report.wrong_results,
-            )
+        recorder.record(
+            "chaos", "invariant_violation",
+            seed=seed, violations=list(report.violations),
+        )
+        recorder.dump(
+            "chaos_violation",
+            seed=seed,
+            violations=list(report.violations),
+            error_rate=report.error_rate,
+            wrong_results=report.wrong_results,
+        )
     return report

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from typing import Iterator, Optional, Union
 
 from ..obs.flight import flight
-from ..telemetry.state import get_telemetry, metrics
+from ..telemetry.state import metrics, span
 from .plan import FaultDecision, FaultPlan
 
 __all__ = [
@@ -114,16 +114,8 @@ def fire(point: str) -> Optional[FaultDecision]:
     metrics().counter(
         "faults.injected", point=point, mode=decision.mode
     ).add(1)
-    recorder = flight()
-    if recorder.enabled:
-        recorder.record(
-            "fault", "inject", point=point, mode=decision.mode
-        )
-    telemetry = get_telemetry()
-    if telemetry.enabled:
-        with telemetry.recorder.span(
-            "fault.inject", category="faults",
-            point=point, mode=decision.mode,
-        ):
-            pass
-    return decision
+    flight().record("fault", "inject", point=point, mode=decision.mode)
+    with span(
+        "fault.inject", category="faults", point=point, mode=decision.mode
+    ):
+        return decision

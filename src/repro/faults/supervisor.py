@@ -111,7 +111,7 @@ def _pool_worker_main(
         # fault sequence from its own offset; replaying probe 0 would
         # make a first-draw crash rule kill every replacement worker.
         plan.advance(generation)
-    telemetry = get_telemetry()
+    recorder = get_telemetry().recorder
     while True:
         beats[2 * slot] = time.time()
         try:
@@ -124,7 +124,7 @@ def _pool_worker_main(
             return
         task_id, kind, payload = msg
         beats[2 * slot + 1] = time.time()
-        mark = telemetry.recorder.mark() if telemetry.enabled else None
+        mark = recorder.mark()
         try:
             mangle = False
             decision = fire("worker.task")
@@ -151,11 +151,9 @@ def _pool_worker_main(
             checksum = record_checksum(record)
             if mangle:
                 record = _corrupt_record(record)
-            spans = (
-                telemetry.recorder.export_since(mark)
-                if telemetry.enabled else None
-            )
-            conn.send((task_id, "ok", record, checksum, spans))
+            conn.send((
+                task_id, "ok", record, checksum, recorder.export_since(mark)
+            ))
         except BaseException as exc:
             try:
                 conn.send((
@@ -385,13 +383,12 @@ class SupervisedWorkerPool:
                         continue  # dead worker; the health check reaps it
                     pending.popleft()
                     assigned[handle.slot] = (task_id, time.time())
-                    if black_box.enabled:
-                        black_box.record(
-                            "pool", "task_assigned",
-                            task=task_id, kind=kind, slot=handle.slot,
-                            worker_pid=handle.proc.pid,
-                            attempt=attempts[task_id] + 1,
-                        )
+                    black_box.record(
+                        "pool", "task_assigned",
+                        task=task_id, kind=kind, slot=handle.slot,
+                        worker_pid=handle.proc.pid,
+                        attempt=attempts[task_id] + 1,
+                    )
             # 2. drain completed results.
             busy = [
                 h.conn for h in self._handles if h.slot in assigned
@@ -439,27 +436,26 @@ class SupervisedWorkerPool:
                 if not handle.proc.is_alive():
                     self.registry.counter("sweep.pool.worker_crashes").add(1)
                     assigned.pop(handle.slot, None)
-                    if black_box.enabled:
-                        black_box.record(
-                            "pool", "worker_crash",
-                            slot=handle.slot,
-                            worker_pid=handle.proc.pid,
-                            exitcode=handle.proc.exitcode,
-                            task=entry[0] if entry is not None else None,
-                            kind=kind,
-                            elapsed_s=(
-                                round(now - entry[1], 6)
-                                if entry is not None else None
-                            ),
-                        )
-                        black_box.dump(
-                            "worker_crash",
-                            slot=handle.slot,
-                            worker_pid=handle.proc.pid,
-                            exitcode=handle.proc.exitcode,
-                            task=entry[0] if entry is not None else None,
-                            kind=kind,
-                        )
+                    black_box.record(
+                        "pool", "worker_crash",
+                        slot=handle.slot,
+                        worker_pid=handle.proc.pid,
+                        exitcode=handle.proc.exitcode,
+                        task=entry[0] if entry is not None else None,
+                        kind=kind,
+                        elapsed_s=(
+                            round(now - entry[1], 6)
+                            if entry is not None else None
+                        ),
+                    )
+                    black_box.dump(
+                        "worker_crash",
+                        slot=handle.slot,
+                        worker_pid=handle.proc.pid,
+                        exitcode=handle.proc.exitcode,
+                        task=entry[0] if entry is not None else None,
+                        kind=kind,
+                    )
                     if entry is not None:
                         retry_or_quarantine(
                             entry[0],
@@ -477,12 +473,11 @@ class SupervisedWorkerPool:
                     ):
                         self.registry.counter("sweep.pool.task_timeouts").add(1)
                         assigned.pop(handle.slot, None)
-                        if black_box.enabled:
-                            black_box.record(
-                                "pool", "task_timeout",
-                                task=task_id, kind=kind, slot=handle.slot,
-                                elapsed_s=round(elapsed, 6),
-                            )
+                        black_box.record(
+                            "pool", "task_timeout",
+                            task=task_id, kind=kind, slot=handle.slot,
+                            elapsed_s=round(elapsed, 6),
+                        )
                         finish(
                             task_id,
                             failure_record(
@@ -499,12 +494,11 @@ class SupervisedWorkerPool:
                     ):
                         self.registry.counter("sweep.pool.hangs_detected").add(1)
                         assigned.pop(handle.slot, None)
-                        if black_box.enabled:
-                            black_box.record(
-                                "pool", "worker_hang",
-                                task=task_id, kind=kind, slot=handle.slot,
-                                elapsed_s=round(elapsed, 6),
-                            )
+                        black_box.record(
+                            "pool", "worker_hang",
+                            task=task_id, kind=kind, slot=handle.slot,
+                            elapsed_s=round(elapsed, 6),
+                        )
                         retry_or_quarantine(
                             task_id,
                             f"worker heartbeat lost after {elapsed:.1f}s "

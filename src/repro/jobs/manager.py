@@ -314,12 +314,11 @@ def run_job(
         notify(done, "FAILED")
         metrics().counter("jobs.failed").add(1)
         recorder = flight()
-        if recorder.enabled:
-            recorder.record(
-                "job", "failed", job_id=job_id, points_done=done,
-                error=str(exc),
-            )
-            recorder.dump("job-failure", job_id=job_id, error=str(exc))
+        recorder.record(
+            "job", "failed", job_id=job_id, points_done=done,
+            error=str(exc),
+        )
+        recorder.dump("job-failure", job_id=job_id, error=str(exc))
         store.close()
         raise
 

@@ -18,21 +18,17 @@ top of the in-process :mod:`repro.telemetry` primitives:
 * :mod:`~repro.obs.promtext` — Prometheus text exposition for the
   metrics registry, negotiated on ``GET /metrics``.
 
-Everything here honors the telemetry contract: off by default, and the
-disabled path costs a single attribute or ``None`` check.
+Every span here is built by the telemetry recorder
+(:meth:`repro.telemetry.SpanRecorder.open`), and tracing, like the
+telemetry switch, only adds spans: it never changes what runs.  The
+flight recorder is off by default, and its ``record``/``dump`` return at
+once while it is off, so call sites need no guard.
 """
 
 from .flight import FLIGHT_ENV, FlightRecorder, configure_flight, flight
 from .promtext import PROM_CONTENT_TYPE, prometheus_text
 from .slo import DEFAULT_OBJECTIVES, Objective, SLOEngine, parse_slo_config
-from .trace import (
-    TRACE_HEADER,
-    TraceContext,
-    close_span,
-    mint_context,
-    open_span,
-    sample_decision,
-)
+from .trace import TRACE_HEADER, TraceContext, mint_context, sample_decision
 from .tsdb import TimeSeriesStore
 
 __all__ = [
@@ -48,9 +44,7 @@ __all__ = [
     "parse_slo_config",
     "TRACE_HEADER",
     "TraceContext",
-    "close_span",
     "mint_context",
-    "open_span",
     "sample_decision",
     "TimeSeriesStore",
 ]

@@ -12,31 +12,23 @@ hashes the cache key, not a random draw, so repeated runs of the same
 workload trace the *same* requests — a trace captured in CI reproduces
 locally.
 
-The module also provides :func:`open_span` / :func:`close_span`: manual
-span lifetimes for the asyncio side of the service.  The telemetry
-recorder's context-manager spans use a thread-local *stack*, which is
-correct on dedicated threads but interleaves wrongly across ``await``
-boundaries (two concurrent requests on the event loop would adopt each
-other's spans as parents).  Manual spans bypass the stack entirely:
-parentage is explicit, and the span is recorded on close.
+The spans themselves come from the telemetry recorder: the asyncio side
+of the service calls :meth:`repro.telemetry.SpanRecorder.open` /
+:meth:`~repro.telemetry.SpanRecorder.close` with the parent this context
+names, because the recorder's stack-based spans would interleave wrongly
+across ``await`` boundaries.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, replace
-from typing import Any, Optional
-
-from ..telemetry.spans import Span, _EPOCH
-from ..telemetry.state import get_telemetry
+from typing import Optional
 
 __all__ = [
     "TRACE_HEADER",
     "TraceContext",
-    "close_span",
     "mint_context",
-    "open_span",
     "sample_decision",
 ]
 
@@ -124,48 +116,3 @@ def mint_context(
         f"{fingerprint}:{request_id}".encode("utf-8")
     ).hexdigest()
     return TraceContext(trace_id=digest[:32], sampled=True)
-
-
-# -- async-safe manual spans --------------------------------------------------
-
-
-def open_span(
-    name: str,
-    category: str = "service",
-    parent_id: Optional[str] = None,
-    **attributes: Any,
-) -> Span:
-    """Start a span with explicit parentage, off the thread-local stack.
-
-    The caller owns the span and must pass it to :func:`close_span`.
-    Safe to call from asyncio coroutines: nothing is pushed on the
-    recorder's stack, so interleaved requests cannot corrupt parentage.
-    """
-    import os
-    import threading
-
-    recorder = get_telemetry().recorder
-    t0 = time.perf_counter()
-    sp = Span(
-        name=name,
-        category=category,
-        span_id=recorder.new_id(),
-        parent_id=parent_id,
-        start=_EPOCH + t0,
-        pid=os.getpid(),
-        tid=threading.get_ident(),
-        attributes=dict(attributes),
-    )
-    sp.attributes["_t0"] = t0
-    return sp
-
-
-def close_span(span: Span, **attributes: Any) -> Span:
-    """Finish a span from :func:`open_span` and record it."""
-    t0 = span.attributes.pop("_t0", None)
-    if t0 is not None:
-        span.duration = time.perf_counter() - t0
-    if attributes:
-        span.attributes.update(attributes)
-    get_telemetry().recorder.record(span)
-    return span

@@ -24,8 +24,8 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, List, Optional
 
-from ..obs.trace import close_span, open_span
 from ..telemetry.metrics import MetricsRegistry
+from ..telemetry.state import get_telemetry
 from .admission import PendingRequest
 from .api import SimResponse
 
@@ -192,7 +192,8 @@ class MicroBatcher:
             await coro
             return
         group.trace_ids = tuple(ctx.trace_id for ctx in links)
-        span = open_span(
+        recorder = get_telemetry().recorder
+        span = recorder.open(
             "service.batch",
             category="service",
             kind=group.kind,
@@ -204,6 +205,6 @@ class MicroBatcher:
         try:
             await coro
         except BaseException:
-            close_span(span, error=True)
+            recorder.close(span, error=True)
             raise
-        close_span(span)
+        recorder.close(span)

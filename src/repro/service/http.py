@@ -41,7 +41,9 @@ from dataclasses import replace
 from .._version import __version__
 from ..faults.injector import fire
 from ..obs.promtext import prometheus_text, wants_prometheus, PROM_CONTENT_TYPE
-from ..obs.trace import TRACE_HEADER, TraceContext, close_span, open_span
+from ..obs.trace import TRACE_HEADER, TraceContext
+from ..telemetry.exporters import publish_counts
+from ..telemetry.state import get_telemetry
 from .api import (
     ServiceValidationError, SimRequest, SimResponse, next_request_id,
     parse_request,
@@ -419,19 +421,12 @@ class ServiceHTTPServer(BaseHTTPServer):
         if path == "/metrics":
             if method != "GET":
                 raise _HTTPError(405, "use GET /metrics")
-            cache = self.service.executor.cache
-            if cache is not None:
-                # Mirror the cache's own counters (including the
-                # self-healing ones) so chaos reports and dashboards
-                # read one endpoint.
-                registry = self.service.registry
-                for name, value in (
-                    ("hits", cache.hits), ("misses", cache.misses),
-                    ("stores", cache.stores), ("evictions", cache.evictions),
-                    ("checksum_failures", cache.checksum_failures),
-                    ("quarantined", cache.quarantined),
-                ):
-                    registry.gauge(f"cache.{name}").set(float(value))
+            executor = self.service.executor
+            publish_counts(
+                self.service.registry,
+                trace=executor.machine.trace,
+                result_cache=executor.cache,
+            )
             if wants_prometheus(headers.get("accept", "")):
                 text = prometheus_text(self.service.registry)
                 return 200, _RawBody(PROM_CONTENT_TYPE, text.encode("utf-8"))
@@ -500,7 +495,8 @@ class ServiceHTTPServer(BaseHTTPServer):
         )
         if ctx is None:
             return await service.submit(request)
-        hspan = open_span(
+        recorder = get_telemetry().recorder
+        hspan = recorder.open(
             "http.request",
             category="service",
             parent_id=ctx.parent_id,
@@ -512,9 +508,9 @@ class ServiceHTTPServer(BaseHTTPServer):
                 request, trace=ctx.child(hspan.span_id)
             )
         except BaseException:
-            close_span(hspan, error=True)
+            recorder.close(hspan, error=True)
             raise
-        close_span(hspan, status=response.status)
+        recorder.close(hspan, status=response.status)
         return response
 
     async def _simulate_one(

@@ -50,7 +50,7 @@ from ..faults.degrade import analytic_estimate
 from ..faults.injector import fire
 from ..faults.policy import RETRY, USABLE, CallPolicy, Verdict
 from ..obs.slo import SLOEngine, parse_slo_config
-from ..obs.trace import TraceContext, close_span, mint_context, open_span
+from ..obs.trace import TraceContext, mint_context
 from ..obs.tsdb import TimeSeriesStore
 from ..sweep.executor import SweepExecutor
 from ..sweep.result_cache import open_result_cache
@@ -190,10 +190,9 @@ class Scheduler:
         cross-thread (and cross-process) tree under the batch span.
         """
         kind = batch.kind
-        telemetry = get_telemetry()
-        if batch.trace_span_id is None or not telemetry.enabled:
+        if batch.trace_span_id is None:
             return self.executor.run(kind, payloads, f"service-{kind}")
-        with telemetry.recorder.span(
+        with get_telemetry().recorder.span(
             "scheduler.dispatch",
             category="service",
             parent_id=batch.trace_span_id,
@@ -553,7 +552,8 @@ class ReductionService:
         """
         if trace is None or not self._tracing:
             return await self._submit(request, None, None)
-        rspan = open_span(
+        recorder = get_telemetry().recorder
+        rspan = recorder.open(
             "service.request",
             category="service",
             parent_id=trace.parent_id,
@@ -563,9 +563,9 @@ class ReductionService:
         try:
             response = await self._submit(request, trace, rspan)
         except BaseException:
-            close_span(rspan, error=True)
+            recorder.close(rspan, error=True)
             raise
-        close_span(
+        recorder.close(
             rspan,
             status=response.status,
             source=getattr(response, "source", None) or "none",

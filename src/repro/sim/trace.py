@@ -6,14 +6,19 @@ match the team sizes specified by the num_teams clause...", §III.C).  The
 trace records the same observables — kernel launches with their geometry,
 page migrations, and coherent remote accesses — so tests and benchmarks can
 make the paper's profiling claims executable.
+
+The trace also keeps its own whole-run totals (launches by kernel, bytes
+migrated by reason, ...), whatever the telemetry switch says;
+:func:`repro.telemetry.publish_counts` publishes them as ``sim.*``
+metrics at export time.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from ..telemetry.state import get_telemetry
 from ..util.units import format_bytes
 
 __all__ = [
@@ -60,6 +65,10 @@ class RemoteAccessRecord:
     duration: float
 
 
+def _add(counts: Dict[str, int], key: str, amount: int) -> None:
+    counts[key] = counts.get(key, 0) + amount
+
+
 #: Default per-list retention window.  Far above anything one paper
 #: experiment records, far below what a million-point streamed job
 #: would otherwise accumulate in the coordinator.
@@ -74,9 +83,10 @@ class Trace:
     ``2 * retention`` may be resident).  The machine-scoped trace would
     otherwise grow without bound under :mod:`repro.jobs` streamed sweeps
     — the coordinator's RSS must stay independent of point count.
-    ``n_launches`` counts every launch ever recorded; the windowed
-    queries (``grid_sizes``, ``migrated_bytes``, ``to_events``) see the
-    retained tail, which covers any single experiment.
+    ``n_launches`` and the totals below count every record ever made;
+    the windowed queries (``grid_sizes``, ``migrated_bytes``,
+    ``to_events``) see the retained tail, which covers any single
+    experiment.
     """
 
     def __init__(self, retention: int = DEFAULT_RETENTION) -> None:
@@ -84,57 +94,50 @@ class Trace:
         self.kernel_launches: List[KernelLaunchRecord] = []
         self.migrations: List[MigrationRecord] = []
         self.remote_accesses: List[RemoteAccessRecord] = []
-        self._dropped_launches = 0
-        self._dropped_migrations = 0
-        self._dropped_remote_accesses = 0
+        # Service dispatch and job threads may record into one machine's
+        # trace at once; the totals are read-modify-write.
+        self._lock = threading.Lock()
+        self._reset_totals()
 
-    def _evict(self, records: List[Any]) -> int:
+    def _reset_totals(self) -> None:
+        self.launches_by_kernel: Dict[str, int] = {}
+        self.kernel_seconds = 0.0
+        self.migrated_bytes_by_reason: Dict[str, int] = {}
+        self.migrations_by_reason: Dict[str, int] = {}
+        self.remote_bytes_by_accessor: Dict[str, int] = {}
+
+    def _evict(self, records: List[Any]) -> None:
         """Drop the oldest half once a list doubles past the window."""
         if len(records) >= 2 * self.retention:
-            drop = len(records) - self.retention
-            del records[:drop]
-            return drop
-        return 0
+            del records[: len(records) - self.retention]
 
     # -- recording ----------------------------------------------------------
-    # Each record_* call also mirrors the record into the global telemetry
-    # metrics registry when telemetry is enabled, so the aggregates the
-    # exporters report (launches by kernel, bytes migrated by reason) stay
-    # consistent with this trace by construction.
     def record_launch(self, record: KernelLaunchRecord) -> None:
         self.kernel_launches.append(record)
-        self._dropped_launches += self._evict(self.kernel_launches)
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            reg = telemetry.registry
-            reg.counter("sim.kernel_launches", kernel=record.name).add(1)
-            reg.histogram("sim.kernel_seconds").observe(record.duration)
+        self._evict(self.kernel_launches)
+        with self._lock:
+            _add(self.launches_by_kernel, record.name, 1)
+            self.kernel_seconds += record.duration
 
     def record_migration(self, record: MigrationRecord) -> None:
         self.migrations.append(record)
-        self._dropped_migrations += self._evict(self.migrations)
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            reg = telemetry.registry
-            reg.counter("sim.migrated_bytes", reason=record.reason).add(
-                record.nbytes
-            )
-            reg.counter("sim.migrations", reason=record.reason).add(1)
+        self._evict(self.migrations)
+        with self._lock:
+            _add(self.migrated_bytes_by_reason, record.reason, record.nbytes)
+            _add(self.migrations_by_reason, record.reason, 1)
 
     def record_remote_access(self, record: RemoteAccessRecord) -> None:
         self.remote_accesses.append(record)
-        self._dropped_remote_accesses += self._evict(self.remote_accesses)
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.registry.counter(
-                "sim.remote_access_bytes", accessor=record.accessor
-            ).add(record.nbytes)
+        self._evict(self.remote_accesses)
+        with self._lock:
+            _add(self.remote_bytes_by_accessor, record.accessor,
+                 record.nbytes)
 
     # -- queries --------------------------------------------------------------
     @property
     def n_launches(self) -> int:
         """Every launch ever recorded (including evicted ones)."""
-        return self._dropped_launches + len(self.kernel_launches)
+        return sum(self.launches_by_kernel.values())
 
     def last_launch(self) -> Optional[KernelLaunchRecord]:
         return self.kernel_launches[-1] if self.kernel_launches else None
@@ -158,9 +161,7 @@ class Trace:
         self.kernel_launches.clear()
         self.migrations.clear()
         self.remote_accesses.clear()
-        self._dropped_launches = 0
-        self._dropped_migrations = 0
-        self._dropped_remote_accesses = 0
+        self._reset_totals()
 
     def summary(self) -> str:
         """One-line counts summary (sizes human-readable via util.units)."""

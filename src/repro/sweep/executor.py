@@ -332,8 +332,6 @@ class SweepExecutor:
     cache:
         A :class:`ResultCache`, or ``None`` to disable result caching
         (every point recomputes, exactly as before this subsystem).
-    stats:
-        Shared :class:`SweepStats`; created fresh when omitted.
     task_timeout_s:
         Per-task wall-clock budget; ``None`` resolves through
         ``REPRO_SWEEP_TIMEOUT`` and :attr:`ReproConfig.
@@ -348,7 +346,6 @@ class SweepExecutor:
         machine: Machine,
         workers: "int | str | None" = None,
         cache: Optional[ResultCache] = None,
-        stats: Optional[SweepStats] = None,
         task_timeout_s: "float | str | None" = None,
     ):
         self.machine = machine
@@ -358,14 +355,12 @@ class SweepExecutor:
             task_timeout_s, machine.config
         )
         self._pool: Optional[Any] = None
-        if stats is None:
-            # When profiling, back the stage counters by the global
-            # telemetry registry so they appear in exported traces.
-            telemetry = get_telemetry()
-            stats = SweepStats(
-                registry=telemetry.registry if telemetry.enabled else None
-            )
-        self.stats = stats
+        # When profiling, back the stage counters by the global
+        # telemetry registry so they appear in exported traces.
+        telemetry = get_telemetry()
+        self.stats = SweepStats(
+            registry=telemetry.registry if telemetry.enabled else None
+        )
         self.stats.mode = (
             "serial"
             if self.workers == 1 and self.task_timeout_s is None
@@ -411,14 +406,9 @@ class SweepExecutor:
     def run(self, kind: str, payloads: Sequence[tuple], stage: str) -> List[dict]:
         """Resolve every payload to its result record, in order."""
         payloads = list(payloads)
-        if get_telemetry().enabled:
-            with tele_span("sweep.stage", category="sweep", stage=stage,
-                           kind=kind) as sp:
-                return self._run_stage(kind, payloads, stage, sp)
-        # Disabled-telemetry fast path: warm-cache sweeps resolve in a
-        # few microseconds per point, where even a no-op span generator
-        # is measurable.
-        return self._run_stage(kind, payloads, stage, None)
+        with tele_span("sweep.stage", category="sweep", stage=stage,
+                       kind=kind) as sp:
+            return self._run_stage(kind, payloads, stage, sp)
 
     def run_streaming(
         self,
@@ -509,9 +499,7 @@ class SweepExecutor:
             st.add_cache_hits(len(payloads) - len(misses))
         else:
             misses = list(range(len(payloads)))
-        if sp is not None:
-            sp.set(points=len(payloads),
-                   cache_hits=len(payloads) - len(misses))
+        sp.set(points=len(payloads), cache_hits=len(payloads) - len(misses))
         if misses:
             computed = self._compute(kind, [payloads[i] for i in misses])
             st.add_computed(len(misses))
@@ -528,8 +516,7 @@ class SweepExecutor:
                     cache.put(keys[i], record)
             if failed:
                 st.add_failed(failed)
-                if sp is not None:
-                    sp.set(failed=failed)
+                sp.set(failed=failed)
         return results  # type: ignore[return-value]
 
     def _compute(self, kind: str, payloads: List[tuple]) -> List[dict]:
@@ -558,8 +545,6 @@ class SweepExecutor:
 
     def _compute_serial(self, kind: str, payloads: List[tuple]) -> List[dict]:
         task = _TASKS[kind]
-        if not get_telemetry().enabled:
-            return [task(self.machine, p) for p in payloads]
         results = []
         for payload in payloads:
             with tele_span("sweep.point", category="sweep", kind=kind):
@@ -571,8 +556,6 @@ class SweepExecutor:
         # the model tables' fingerprinting.
         from ..sim.batch import evaluate_gpu_slab
 
-        if not get_telemetry().enabled:
-            return evaluate_gpu_slab(self.machine, payloads)
         with tele_span(
             "sweep.slab", category="sweep", points=len(payloads)
         ):
@@ -650,13 +633,11 @@ class SweepExecutor:
         return self._pool
 
     def _ingest_spans(self, spans: Any) -> None:
-        telemetry = get_telemetry()
-        if telemetry.enabled and spans:
+        if spans:
             # Adopt the workers' spans under the current stage span so
             # the exported timeline keeps one tree.
-            telemetry.recorder.ingest(
-                spans, parent_id=telemetry.recorder.current_id()
-            )
+            recorder = get_telemetry().recorder
+            recorder.ingest(spans, parent_id=recorder.current_id())
 
     def _compute_pool(self, kind: str, payloads: List[tuple]) -> List[dict]:
         pool = self._ensure_pool()

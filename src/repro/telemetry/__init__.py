@@ -17,16 +17,20 @@ reproduction's equivalents first-class:
   Perfetto JSON (wall-clock rows plus simulated device lanes on the sim
   clock), plain JSON snapshots, and ASCII summary / flame views.
 
-Everything is off by default and near-free while off — see
-:mod:`~repro.telemetry.state` for the enable switches
-(``REPRO_TELEMETRY=1``, :func:`configure`,
-:attr:`repro.config.ReproConfig.telemetry`), and docs/OBSERVABILITY.md
-for the span taxonomy and metric names.
+The switch (``REPRO_TELEMETRY=1`` or :func:`configure`; see
+:mod:`~repro.telemetry.state`) only adds spans: it is off by default,
+each instrumented site runs one ``with span(...)`` with it on or off
+(the service also samples which requests it traces), and metrics are
+recorded either way.  Counts that their owners keep — the
+sim trace, the result cache, the compile cache — reach the registry
+through one export-time call, :func:`publish_counts`.  See
+docs/OBSERVABILITY.md for the span taxonomy and metric names.
 """
 
 from .exporters import (
     SIM_PID,
     chrome_trace,
+    publish_counts,
     render_flame,
     render_summary,
     snapshot,
@@ -50,7 +54,6 @@ from .state import (
     get_telemetry,
     metrics,
     span,
-    traced,
 )
 
 __all__ = [
@@ -70,11 +73,11 @@ __all__ = [
     "enabled",
     "get_telemetry",
     "metrics",
+    "publish_counts",
     "render_flame",
     "render_summary",
     "snapshot",
     "span",
-    "traced",
     "write_chrome_trace",
     "write_snapshot",
 ]

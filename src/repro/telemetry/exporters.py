@@ -14,6 +14,10 @@ Three ways out of the telemetry layer:
   JSON document, consumed by ``repro profile view``.
 * :func:`render_summary` / :func:`render_flame` — ASCII aggregate table
   and call-tree view for terminals.
+
+Before any of them, :func:`publish_counts` copies the counts their owners
+keep (the sim trace, the result cache, the compile cache) into the
+registry, under the one set of names every export carries.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .state import Telemetry, get_telemetry
 
 __all__ = [
     "SIM_PID",
+    "publish_counts",
     "chrome_trace",
     "write_chrome_trace",
     "snapshot",
@@ -41,6 +46,57 @@ __all__ = [
 
 #: The pid under which simulated-clock lanes render (real pids are >= 1).
 SIM_PID = 0
+
+#: Result-cache counts published as ``sweep.result_cache.<name>``.
+_RESULT_CACHE_COUNTS = (
+    "hits", "misses", "stores", "evictions", "checksum_failures",
+    "quarantined",
+)
+
+
+def _hit_ratio(hits: int, misses: int) -> float:
+    return hits / (hits + misses) if hits + misses else 0.0
+
+
+def publish_counts(
+    registry: MetricsRegistry, trace: Any, result_cache: Any = None
+) -> None:
+    """Set gauges from the counts their owners keep, at export time.
+
+    The sim :class:`~repro.sim.trace.Trace`, the
+    :class:`~repro.sweep.result_cache.ResultCache` and the process-wide
+    compile cache count their own events whatever the telemetry switch
+    says; ``/metrics``, the CLI's exports and
+    ``examples/reproduce_paper.py`` call this before they read the
+    registry.  The ``sim.*`` values are the
+    trace's whole-run totals, evicted records included.
+    """
+    from ..compiler.cache import compile_cache_stats
+
+    hits, misses, entries = compile_cache_stats()
+    registry.gauge("compiler.cache.hits").set(hits)
+    registry.gauge("compiler.cache.misses").set(misses)
+    registry.gauge("compiler.cache.entries").set(entries)
+    registry.gauge("compiler.cache.hit_ratio").set(_hit_ratio(hits, misses))
+    if result_cache is not None:
+        for name in _RESULT_CACHE_COUNTS:
+            registry.gauge(f"sweep.result_cache.{name}").set(
+                getattr(result_cache, name)
+            )
+        registry.gauge("sweep.result_cache.hit_ratio").set(
+            _hit_ratio(result_cache.hits, result_cache.misses)
+        )
+    registry.gauge("sim.kernel_seconds").set(trace.kernel_seconds)
+    for name, label, counts in (
+        ("sim.kernel_launches", "kernel", trace.launches_by_kernel),
+        ("sim.migrated_bytes", "reason", trace.migrated_bytes_by_reason),
+        ("sim.migrations", "reason", trace.migrations_by_reason),
+        ("sim.remote_access_bytes", "accessor",
+         trace.remote_bytes_by_accessor),
+    ):
+        # list(): a recording thread may add a key while this reads.
+        for value, count in list(counts.items()):
+            registry.gauge(name, **{label: value}).set(count)
 
 
 def _wall_events(spans: Sequence[Span]) -> List[Dict[str, Any]]:

@@ -5,7 +5,10 @@ launch-geometry resolution, a sweep stage, one sweep point.  Spans nest:
 each thread keeps a stack, so a span opened while another is active
 records that span as its parent, and the exported tree reconstructs the
 full call hierarchy (the reproduction's answer to an Nsight timeline's
-row nesting).
+row nesting).  Every span is built by :meth:`SpanRecorder.open` and
+finished by :meth:`SpanRecorder.close`; the stack-based
+:meth:`SpanRecorder.span` is that pair plus the stack, and the service's
+asyncio side calls the pair directly with an explicit parent.
 
 Identifiers are process- and thread-safe: ``<pid>-<tid>-<seq>``, so spans
 recorded inside sweep worker processes can ship back with their results
@@ -20,7 +23,6 @@ for *simulated* activities live in the other clock domain — see
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import threading
@@ -51,6 +53,8 @@ class Span:
     pid: int = 0
     tid: int = 0
     attributes: Dict[str, Any] = field(default_factory=dict)
+    # perf_counter() at open: the duration's timebase, never exported.
+    _t0: float = field(default=0.0, repr=False, compare=False)
 
     def set(self, **attributes: Any) -> "Span":
         """Attach attributes to the span; returns the span for chaining."""
@@ -126,25 +130,43 @@ class SpanRecorder:
         span = self.current()
         return span.span_id if span else None
 
-    def _new_id(self) -> str:
-        return f"{os.getpid():x}-{threading.get_ident():x}-{next(self._seq):x}"
+    # -- recording ------------------------------------------------------------
+    def open(
+        self,
+        name: str,
+        category: str = "repro",
+        parent_id: Optional[str] = None,
+        **attributes: Any,
+    ) -> Span:
+        """Start a span under an explicit parent, off the thread-local stack.
 
-    def new_id(self) -> str:
-        """Allocate a fresh span id (for externally managed spans)."""
-        return self._new_id()
-
-    def record(self, span: Span) -> None:
-        """Append an externally finished span to the finished list.
-
-        Used by :mod:`repro.obs.trace` for request/batch spans whose
-        lifetime crosses ``await`` points: the thread-local stack would
-        interleave wrongly under asyncio, so those spans are opened and
-        closed explicitly and never touch the stack.
+        The caller owns the span and must pass it to :meth:`close`.
+        Nothing is pushed on the stack, so this is the form for spans
+        whose lifetime crosses ``await`` points: interleaved asyncio
+        requests cannot adopt each other's spans as parents.
         """
+        t0 = time.perf_counter()
+        pid, tid = os.getpid(), threading.get_ident()
+        return Span(
+            name=name,
+            category=category,
+            span_id=f"{pid:x}-{tid:x}-{next(self._seq):x}",
+            parent_id=parent_id,
+            start=_EPOCH + t0,
+            pid=pid,
+            tid=tid,
+            attributes=attributes,
+            _t0=t0,
+        )
+
+    def close(self, span: Span, **attributes: Any) -> Span:
+        """Finish a span from :meth:`open` and record it."""
+        span.duration = time.perf_counter() - span._t0
+        span.attributes.update(attributes)
         with self._lock:
             self.finished.append(span)
+        return span
 
-    # -- recording ------------------------------------------------------------
     @contextmanager
     def span(
         self,
@@ -161,19 +183,9 @@ class SpanRecorder:
         under an asyncio-side batch span).
         """
         stack = self._stack()
-        t0 = time.perf_counter()
-        sp = Span(
-            name=name,
-            category=category,
-            span_id=self._new_id(),
-            parent_id=parent_id
-            if parent_id is not None
-            else (stack[-1].span_id if stack else None),
-            start=_EPOCH + t0,
-            pid=os.getpid(),
-            tid=threading.get_ident(),
-            attributes=dict(attributes),
-        )
+        if parent_id is None and stack:
+            parent_id = stack[-1].span_id
+        sp = self.open(name, category, parent_id, **attributes)
         stack.append(sp)
         try:
             yield sp
@@ -181,25 +193,8 @@ class SpanRecorder:
             sp.attributes.setdefault("error", True)
             raise
         finally:
-            sp.duration = time.perf_counter() - t0
             stack.pop()
-            with self._lock:
-                self.finished.append(sp)
-
-    def traced(self, name: Optional[str] = None, category: str = "repro"):
-        """Decorator form of :meth:`span` (span named after the function)."""
-
-        def decorate(func):
-            span_name = name or func.__qualname__
-
-            @functools.wraps(func)
-            def wrapper(*args, **kwargs):
-                with self.span(span_name, category=category):
-                    return func(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
+            self.close(sp)
 
     # -- worker shipping ------------------------------------------------------
     def mark(self) -> int:

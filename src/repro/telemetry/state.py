@@ -1,24 +1,23 @@
 """Process-global telemetry state and the fast no-op path.
 
-Telemetry is **off by default** and must cost close to nothing while off:
-every instrumentation site goes through :func:`span` / :func:`traced` /
-:func:`enabled`, whose disabled path is a single attribute check.  Turn
-it on with
+The switch decides one thing: whether spans are recorded.  An
+instrumented site runs the same code either way — one ``with span(...)``,
+which while off returns a shared no-op context — and the metrics
+registry, like the counts the sim trace and the two caches keep, is live
+whatever the switch says.  (The service's request tracing also needs a
+sample rate: see :mod:`repro.obs.trace`.)  Telemetry is **off by default**.  Turn it on
+with
 
 * ``REPRO_TELEMETRY=1`` in the environment (inherited by sweep worker
   processes, which is how worker-side spans get recorded), or
 * :func:`configure` (what ``repro --trace-out`` and ``repro profile``
-  do), or
-* :attr:`repro.config.ReproConfig.telemetry` on the machine a driver
-  builds.
+  do).
 """
 
 from __future__ import annotations
 
-import functools
 import os
-from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from .metrics import MetricsRegistry
 from .spans import NOOP_SPAN, SpanRecorder
@@ -31,7 +30,6 @@ __all__ = [
     "get_telemetry",
     "metrics",
     "span",
-    "traced",
 ]
 
 #: Environment variable enabling telemetry ("1"/"true"/"yes"/"on").
@@ -45,7 +43,7 @@ def _env_enabled() -> bool:
 
 
 class Telemetry:
-    """A span recorder plus a metrics registry behind one enable switch."""
+    """A span recorder behind the enable switch, plus the metrics registry."""
 
     def __init__(self, enabled: Optional[bool] = None) -> None:
         self.enabled = _env_enabled() if enabled is None else enabled
@@ -106,24 +104,6 @@ def span(name: str, category: str = "repro", **attributes: Any):
     if not _TELEMETRY.enabled:
         return _NOOP_CONTEXT
     return _TELEMETRY.recorder.span(name, category=category, **attributes)
-
-
-def traced(name: Optional[str] = None, category: str = "repro"):
-    """Decorator recording a span per call; near-free when disabled."""
-
-    def decorate(func):
-        span_name = name or func.__qualname__
-
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            if not _TELEMETRY.enabled:
-                return func(*args, **kwargs)
-            with _TELEMETRY.recorder.span(span_name, category=category):
-                return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
 
 
 def metrics() -> MetricsRegistry:

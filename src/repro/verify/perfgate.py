@@ -20,7 +20,8 @@ microbenchmarks):
   4096-point chunk;
 * ``telemetry_overhead`` — the sim microbench unit of work with the
   telemetry layer *enabled* (span recording on), alongside the disabled
-  time: one code path both ways, so the cost of the spans is gated;
+  time from interleaved off/on rounds: one code path both ways, so the
+  cost of the spans is gated;
 * ``stream_write`` — amortized per-record cost of the jobs result
   store's append path (:mod:`repro.jobs.store`): canonical-JSON encode,
   sequential-shard append, rotation;
@@ -45,6 +46,7 @@ from __future__ import annotations
 import asyncio
 import json
 import platform
+import statistics
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -256,30 +258,38 @@ def _bench_pool_transport(machine: Machine, repeats: int) -> Dict[str, Any]:
 def _bench_telemetry_overhead(
     machine: Machine, repeats: int
 ) -> Dict[str, Any]:
-    """Enabled-vs-disabled telemetry cost of the sim-microbench unit."""
+    """Enabled-vs-disabled telemetry cost of the sim-microbench unit.
+
+    The off and on samples alternate, one pair per round, so drift in
+    the machine's load lands on both sides; ``overhead_ratio`` is the
+    median of the per-round on/off ratios.
+    """
     from ..telemetry.state import configure, get_telemetry
 
     case = case_by_name("C1")
     config = KernelConfig(teams=4096, v=4, threads=256)
 
-    def once() -> None:
+    def timed(enabled: bool) -> float:
+        configure(enabled=enabled)
+        started = time.perf_counter()
         measure_gpu_reduction(machine, case, config, trials=200, verify=True)
+        return time.perf_counter() - started
 
     previous = get_telemetry().enabled
     try:
-        configure(enabled=False)
-        once()  # warm compile/workload caches out of the timed region
-        disabled = _best(once, repeats)
-        configure(enabled=True, reset=True)
-        once()
-        enabled = _best(once, repeats)
+        # Warm compile/workload caches out of the timed rounds.
+        timed(False)
+        timed(True)
+        rounds = [(timed(False), timed(True)) for _ in range(repeats)]
     finally:
         configure(enabled=previous, reset=True)
+    disabled = min(off for off, _ in rounds)
+    enabled = min(on for _, on in rounds)
     return {
         "seconds": enabled,
         "disabled_s": disabled,
         "overhead_s": max(0.0, enabled - disabled),
-        "overhead_ratio": enabled / disabled if disabled > 0 else 1.0,
+        "overhead_ratio": statistics.median(on / off for off, on in rounds),
     }
 
 

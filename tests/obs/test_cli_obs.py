@@ -1,9 +1,18 @@
-"""CLI surfaces: ``repro slo check`` exit contract, ``repro obs blackbox``."""
+"""CLI surfaces: ``repro slo check`` exit contract, ``repro obs blackbox``,
+and the SIGTERM flight dump of the long-running commands."""
 
 import asyncio
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
 import threading
 from contextlib import contextmanager
+from pathlib import Path
+
+import pytest
 
 from repro.cli import main
 from repro.obs.flight import FlightRecorder
@@ -140,3 +149,46 @@ class TestObsBlackbox:
     def test_missing_file_is_2(self, tmp_path, capsys):
         assert main(["obs", "blackbox", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+_REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+class TestSigtermDump:
+    @pytest.mark.parametrize(
+        "command, role", [("serve", "shard"), ("coordinator", "coordinator")]
+    )
+    def test_sigterm_dumps_once_and_exits_zero(
+        self, tmp_path, command, role
+    ):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            str(_REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        ).rstrip(os.pathsep)
+        for name in ("REPRO_FAULTS", "REPRO_FLIGHT_DIR", "REPRO_JOBS_DIR",
+                     "REPRO_TELEMETRY"):
+            env.pop(name, None)
+        flight_dir = tmp_path / "flight"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "--functional-cap", "65536",
+             "--no-cache", command, "--host", "127.0.0.1", "--port", "0",
+             "--flight-dir", str(flight_dir)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
+            text=True,
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 30)
+            assert ready, f"repro {command} never announced its address"
+            assert "listening on" in proc.stdout.readline()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        [dump] = flight_dir.glob("flight-*-sigterm.json")
+        doc = json.loads(dump.read_text())
+        assert doc["reason"] == "sigterm"
+        assert doc["pid"] == proc.pid
+        assert doc["context"] == {"role": role}

@@ -76,9 +76,8 @@ class TestDump:
     def test_dump_includes_span_tail_when_telemetry_on(
         self, tmp_path, telemetry
     ):
-        from repro.obs.trace import close_span, open_span
-
-        close_span(open_span("service.request", trace_id="ab" * 16))
+        spans = telemetry.recorder
+        spans.close(spans.open("service.request", trace_id="ab" * 16))
         recorder = FlightRecorder(str(tmp_path))
         doc = _load(recorder.dump("sigterm"))
         [span] = doc["spans"]

@@ -297,6 +297,43 @@ class TestMetricsNegotiation:
         names = {m["name"] for m in json.loads(body)["metrics"]}
         assert "service.requests" in names
 
+    def test_metrics_and_profile_snapshot_publish_the_same_names(
+        self, fresh_machine, tmp_path, telemetry, capsys
+    ):
+        """/metrics and an exported profile carry one set of names for
+        the counts the sim trace and the two caches keep."""
+        from repro.cli import main
+
+        def published(metrics):
+            return {
+                m["name"] for m in metrics
+                if m["name"].startswith(
+                    ("sim.", "compiler.cache.", "sweep.result_cache.")
+                )
+            }
+
+        async def scenario(server):
+            await _roundtrip(server, "POST", "/simulate", SIM)
+            return await _roundtrip(server, "GET", "/metrics")
+
+        _, _, body = _http(fresh_machine, tmp_path, scenario, trace_sample=0.0)
+        served = published(json.loads(body)["metrics"])
+
+        snapshot = tmp_path / "profile.json"
+        assert main([
+            "profile", "run", "--snapshot-out", str(snapshot),
+            "--", "--functional-cap", "65536",
+            "--cache-dir", str(tmp_path / "cli-cache"),
+            "sweep", "C1", "--trials", "2",
+        ]) == 0
+        capsys.readouterr()
+        profiled = published(json.loads(snapshot.read_text())["metrics"])
+        assert served == profiled
+        assert {
+            "sim.kernel_launches", "compiler.cache.hits",
+            "sweep.result_cache.hits", "sweep.result_cache.quarantined",
+        } <= served
+
     def test_accept_text_plain_serves_prometheus(self, machine, tmp_path):
         async def scenario(server):
             await _roundtrip(server, "POST", "/simulate", SIM)

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.obs.trace import (
-    TraceContext,
-    close_span,
-    mint_context,
-    open_span,
-    sample_decision,
-)
+from repro.obs.trace import TraceContext, mint_context, sample_decision
 
 _TRACE_ID = "0123456789abcdef0123456789abcdef"
 
@@ -107,12 +101,15 @@ class TestMintContext:
 
 
 class TestManualSpans:
+    """The recorder's open/close pair: explicit parents, no stack."""
+
     def test_open_close_records_with_explicit_parent(self, telemetry):
-        span = open_span(
+        recorder = telemetry.recorder
+        span = recorder.open(
             "service.request", category="service",
             parent_id="12-34-5", trace_id=_TRACE_ID,
         )
-        closed = close_span(span, status="ok")
+        closed = recorder.close(span, status="ok")
         [recorded] = telemetry.recorder.snapshot()
         assert recorded is closed
         assert recorded.name == "service.request"
@@ -126,10 +123,11 @@ class TestManualSpans:
         # The whole point of manual spans: concurrent open/close pairs
         # on one thread must not adopt each other (the context-manager
         # stack would).
-        a = open_span("a", parent_id="root-a")
-        b = open_span("b", parent_id="root-b")
-        close_span(a)
-        close_span(b)
+        recorder = telemetry.recorder
+        a = recorder.open("a", parent_id="root-a")
+        b = recorder.open("b", parent_id="root-b")
+        recorder.close(a)
+        recorder.close(b)
         by_name = {sp.name: sp for sp in telemetry.recorder.snapshot()}
         assert by_name["a"].parent_id == "root-a"
         assert by_name["b"].parent_id == "root-b"

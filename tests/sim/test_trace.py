@@ -1,5 +1,8 @@
 """Tests for the execution trace (the built-in profiler)."""
 
+import sys
+import threading
+
 from repro.sim.trace import (
     KernelLaunchRecord,
     MigrationRecord,
@@ -54,3 +57,49 @@ class TestTrace:
         trace.record_launch(_launch())
         text = trace.summary()
         assert "1 launches" in text
+
+
+class TestTotals:
+    def test_totals_count_evicted_records(self):
+        trace = Trace(retention=2)
+        for i in range(10):
+            trace.record_launch(_launch(name=f"k{i % 2}", duration=0.5))
+            trace.record_migration(
+                MigrationRecord(0.0, "LPDDR5X", "HBM3", 100, 1, 0.1, "fault")
+            )
+            trace.record_remote_access(
+                RemoteAccessRecord(0.0, "cpu", 64, 1e-6)
+            )
+        assert len(trace.kernel_launches) < 10
+        assert trace.launches_by_kernel == {"k0": 5, "k1": 5}
+        assert trace.n_launches == 10
+        assert trace.kernel_seconds == 5.0
+        assert trace.migrated_bytes_by_reason == {"fault": 1000}
+        assert trace.migrations_by_reason == {"fault": 10}
+        assert trace.remote_bytes_by_accessor == {"cpu": 640}
+        trace.clear()
+        assert trace.n_launches == 0 and trace.kernel_seconds == 0.0
+
+    def test_concurrent_recording_loses_no_count(self):
+        threads, per_thread = 8, 2000
+        trace = Trace()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda n=n: [
+                        trace.record_launch(_launch(name=f"k{n % 3}"))
+                        for _ in range(per_thread)
+                    ]
+                )
+                for n in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert trace.n_launches == threads * per_thread

@@ -13,7 +13,7 @@ from repro.core.optimized import KernelConfig
 from repro.evaluation.figures import generate_coexec_figure
 from repro.evaluation.tables import generate_table1
 from repro.sweep import SweepExecutor, canonical_json
-from repro.telemetry import chrome_trace, span
+from repro.telemetry import chrome_trace, publish_counts, span
 from repro.telemetry.state import _NOOP_CONTEXT
 
 CONFIGS = [None, KernelConfig(teams=1024, v=4)]
@@ -112,9 +112,13 @@ class TestPipelineSpans:
         )
         assert reg.total("sweep.stage.computed") == len(CONFIGS)
         assert reg.total("sweep.stage.errors") == 0
-        # Trace mirroring: launches by kernel sum to the trace's count.
-        assert reg.total("sim.kernel_launches") == \
-            small_machine.trace.n_launches
+        # The trace keeps its own counts; once published, launches by
+        # kernel sum to the trace's count.
+        publish_counts(reg, small_machine.trace)
+        assert sum(
+            m["value"] for m in reg.snapshot()
+            if m["name"] == "sim.kernel_launches"
+        ) == small_machine.trace.n_launches
         assert small_machine.trace.n_launches > 0
 
     def test_stage_error_counter_increments(self, telemetry, small_machine):
@@ -210,6 +214,60 @@ class TestDisabledPath:
                                           transport="shm")
                     assert shm_after > shm_before, (cell, enabled)
             assert runs[True] == runs[False], cell  # byte-identical records
+
+    def test_registry_is_the_same_with_spans_on_or_off(
+        self, disabled_telemetry
+    ):
+        """The switch only adds spans: one workload leaves the same global
+        registry either way (the stage counters' registry aside), and the
+        counts the trace and the compile cache keep publish equally."""
+        from repro.compiler.cache import cached_compile, clear_compile_cache
+        from repro.core.baseline import baseline_program
+        from repro.core.cases import C2
+        from repro.core.timing import measure_gpu_reduction
+        from repro.faults.injector import fire, injected
+
+        def run(enabled):
+            clear_compile_cache()
+            disabled_telemetry.reset()
+            disabled_telemetry.enabled = enabled
+            try:
+                machine = Machine(
+                    config=ReproConfig(functional_elements_cap=1 << 14)
+                )
+                SweepExecutor(machine, workers=1).gpu_points(
+                    C1, CONFIGS, trials=3
+                )
+                measure_gpu_reduction(machine, C1, CONFIGS[1], trials=3)
+                cached_compile(baseline_program(C2))  # miss
+                cached_compile(baseline_program(C2))  # hit
+                with injected("cache.get:eio:count=1"):
+                    assert fire("cache.get") is not None
+            finally:
+                disabled_telemetry.enabled = False
+            reg = disabled_telemetry.registry
+
+            def kept():
+                return [m for m in reg.snapshot()
+                        if not m["name"].startswith("sweep.stage.")]
+
+            left = kept()
+            publish_counts(reg, machine.trace)
+            spans = len(disabled_telemetry.recorder.snapshot())
+            return left, kept(), spans
+
+        off_left, off_published, off_spans = run(False)
+        on_left, on_published, on_spans = run(True)
+        clear_compile_cache()
+        assert off_spans == 0
+        assert on_spans > 0
+        assert on_left == off_left
+        assert on_published == off_published
+        names = {m["name"] for m in off_published}
+        assert {
+            "compiler.cache.hits", "compiler.cache.misses",
+            "sim.kernel_launches", "faults.injected",
+        } <= names
 
     def test_disabled_overhead_under_five_percent(
         self, disabled_telemetry, small_machine

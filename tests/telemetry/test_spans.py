@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.telemetry import Span, SpanRecorder, span, traced
+from repro.telemetry import Span, SpanRecorder, span
 from repro.telemetry.spans import NOOP_SPAN
 from repro.telemetry.state import _NOOP_CONTEXT
 
@@ -59,18 +59,6 @@ class TestSpanRecorder:
         assert sp.attributes["error"] is True
         assert sp.duration >= 0.0
         assert rec.current() is None  # stack unwound
-
-    def test_traced_decorator(self):
-        rec = SpanRecorder()
-
-        @rec.traced(category="test")
-        def work(x):
-            return x * 2
-
-        assert work(21) == 42
-        (sp,) = rec.finished
-        assert sp.name.endswith("work")
-        assert sp.category == "test"
 
     def test_threads_get_independent_stacks(self):
         rec = SpanRecorder()
@@ -146,21 +134,3 @@ class TestGlobalHelpers:
             assert sp is NOOP_SPAN
             assert sp.set(a=1) is sp
         assert disabled_telemetry.recorder.snapshot() == []
-
-    def test_traced_helper_respects_enable_flag(self, disabled_telemetry):
-        calls = []
-
-        @traced(category="test")
-        def f():
-            calls.append(1)
-            return 7
-
-        assert f() == 7
-        assert disabled_telemetry.recorder.snapshot() == []
-        disabled_telemetry.enabled = True
-        try:
-            assert f() == 7
-        finally:
-            disabled_telemetry.enabled = False
-        assert len(disabled_telemetry.recorder.snapshot()) == 1
-        assert calls == [1, 1]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core import timing
+from repro.verify import perfgate
 from repro.verify.perfgate import (
     BenchReport,
     DEFAULT_THRESHOLD,
@@ -99,6 +100,24 @@ class TestSuite:
         monkeypatch.setattr(timing, "execute_reduction", counting_execute)
         _bench_sim_microbench(fresh_machine, repeats=2)
         assert len(calls) == 3
+
+    def test_telemetry_overhead_alternates_off_and_on(
+        self, disabled_telemetry, monkeypatch
+    ):
+        # Two warm-ups (off, on), then one off/on pair per repeat, so
+        # both sides of each ratio see the same machine load.
+        seen = []
+
+        def fake_measure(*args, **kwargs):
+            seen.append(disabled_telemetry.enabled)
+
+        monkeypatch.setattr(perfgate, "measure_gpu_reduction", fake_measure)
+        entry = perfgate._bench_telemetry_overhead(None, repeats=3)
+        assert seen[2:] == [False, True] * 3
+        assert len(seen) == 8
+        assert entry["seconds"] > 0.0
+        assert entry["overhead_ratio"] > 0.0
+        assert disabled_telemetry.enabled is False  # switch restored
 
 
 class TestCompare:
