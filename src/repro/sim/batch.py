@@ -1,29 +1,37 @@
 """Batch-vectorized slab evaluation of GPU sweep points.
 
-:func:`evaluate_gpu_slab` prices an entire *slab* — a list of
-``(case, config, trials, verify)`` points, exactly the payloads of the
-executor's ``gpu_point`` task — in a few NumPy passes instead of one
-trip through :func:`~repro.core.timing.measure_gpu_reduction` per point.
-It produces the same result records, **byte-identical** under
-:func:`~repro.sweep.fingerprint.canonical_json`, because every
-arithmetic expression mirrors the scalar model's operation order exactly
-(IEEE-754 float64 elementwise operations are deterministic, so an
-identical expression tree over identical inputs yields identical bits):
+:func:`evaluate_gpu_slab` prices an entire *slab* of ``gpu_point``
+points — a :class:`SlabPoints`, the executor's ``(case, config, trials,
+verify)`` payloads held as int64 columns — in a few NumPy passes instead
+of one trip through :func:`~repro.core.timing.measure_gpu_reduction` per
+point, and returns the results as columns, a :class:`SlabResult`.  Its
+records are **byte-identical** under
+:func:`~repro.sweep.fingerprint.canonical_json` to the scalar path's,
+because every arithmetic expression mirrors the scalar model's operation
+order exactly (IEEE-754 float64 elementwise operations are deterministic,
+so an identical expression tree over identical inputs yields identical
+bits):
 
-1. per-point *validation* walks the slab in submission order and raises
-   the same exception type and message, at the same first failing point,
-   as the serial loop would (trials / divisibility / thread_limit /
-   device capacity / occupancy);
+1. *validation* runs over whole columns.  A baseline point's geometry and
+   the device capacity checks depend only on its case (and op), so they
+   are resolved once per case.  If any point fails, the scalar checks run
+   over the rebuilt payloads in submission order, so the same exception
+   type and message, from the same first failing point, come out as from
+   the serial loop (trials / divisibility / thread_limit / device
+   capacity / occupancy);
 2. per-point model constants come from the precomputed
-   :class:`~repro.sim.tables.ModelTables` rows (gathered into arrays)
-   instead of per-point calibration lookups;
+   :class:`~repro.sim.tables.ModelTables` rows, gathered per case;
 3. the kernel-time model of :func:`~repro.gpu.perf.estimate_kernel_time`
-   runs once over arrays;
+   runs once over arrays, and the launches are recorded with one
+   :meth:`~repro.sim.trace.Trace.record_launches` call;
 4. functional values are memoized per machine, and a slab computes each
-   value the memo lacks once.  Integer sums are geometry-independent
-   (modular addition is associative — any grouping yields ``sum mod
-   2**bits``), so one ``np.add.reduce`` per (T, R, size) serves every
-   geometry.  Every other point runs the device executor's two halves
+   value the memo lacks once: the points are grouped by what their value
+   depends on (case, op and geometry; an integer sum by case alone), so
+   the memo, verification and ``.item()`` run once per distinct value.
+   Integer sums are geometry-independent (modular addition is
+   associative — any grouping yields ``sum mod 2**bits``), so one
+   ``np.add.reduce`` per (T, R, size) serves every geometry.  Every other
+   point runs the device executor's two halves
    (:mod:`repro.gpu.exec_model`): the misses are grouped by what the
    thread level reads — identifier, T, R, size and the thread starts —
    each group's thread partials are computed once, and each point runs
@@ -31,6 +39,10 @@ identical expression tree over identical inputs yields identical bits):
    :func:`~repro.gpu.exec_model.execute_reduction` per point would make.
    Groups run one after another, so one thread-level array is alive at a
    time and none outlives the call; the memo keeps scalars only.
+
+The only per-point Python is building the launch records and the result
+values (plus the scalar checks on the error path); result dicts are made
+by :meth:`SlabResult.records`, where a caller needs them.
 
 Known, intentional divergence from the serial loop: the slab validates
 *every* point before computing any, so when two points would both raise,
@@ -48,10 +60,12 @@ itself stays a pure function.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..core.optimized import KernelConfig
 from ..core.verify import verify_result
 from ..errors import LaunchError, MeasurementError, MemoryModelError
 from ..gpu.exec_model import _team_level, _thread_level, _thread_starts_key
@@ -66,12 +80,165 @@ from ..telemetry.state import metrics
 from .tables import ModelTables, tables_for
 from .trace import KernelLaunchRecord
 
-__all__ = ["evaluate_gpu_slab", "SLAB_POINT_BUCKETS"]
+__all__ = [
+    "OP_CODES",
+    "SLAB_POINT_BUCKETS",
+    "SlabPoints",
+    "SlabResult",
+    "evaluate_gpu_slab",
+]
 
 #: ``slab.points_per_batch`` histogram buckets (points per evaluate call).
 SLAB_POINT_BUCKETS: Tuple[float, ...] = (
     1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0
 )
+
+#: Reduction identifiers, indexed by the ``op`` column; 0 (the sum) is the
+#: historical 4-tuple payload.  Never persisted: cache fingerprints see
+#: the payload tuples, not this encoding.
+OP_CODES: Tuple[str, ...] = ("+", "-", "*", "max", "min", "&", "|", "^",
+                             "&&", "||", "argmax", "dot")
+_OP_INDEX = {op: code for code, op in enumerate(OP_CODES)}
+#: Input arrays each op streams (``dot`` reads two), by op code.
+_OP_ARRAYS = np.array([required_arrays(op) for op in OP_CODES],
+                      dtype=np.int64)
+
+
+class SlabPoints:
+    """A slab's ``gpu_point`` payloads as columns.
+
+    ``cases`` holds the distinct :class:`~repro.core.cases.Case` objects
+    and ``columns`` a ``(7, n)`` int64 array whose rows are
+    :attr:`COLUMNS`: ``case_idx`` indexes ``cases``, ``teams`` 0 marks a
+    baseline point (its ``v`` and ``threads`` are 0 too), ``verify`` is
+    −1 (``None``), 0 or 1, and ``op`` indexes :data:`OP_CODES`.  This is
+    also the shared-memory request's buffer layout
+    (:mod:`repro.sweep.shm`).
+    """
+
+    COLUMNS = ("case_idx", "teams", "v", "threads", "trials", "verify", "op")
+    __slots__ = ("cases", "columns")
+
+    def __init__(self, cases: List[Any], columns: np.ndarray) -> None:
+        self.cases = cases
+        self.columns = columns
+
+    @classmethod
+    def from_payloads(cls, payloads: Sequence[tuple]) -> "SlabPoints":
+        """Columns for ``(case, config, trials, verify[, op])`` payloads.
+
+        The one conversion from payload tuples; a :class:`SlabPoints`
+        passes through unchanged.
+        """
+        if isinstance(payloads, SlabPoints):
+            return payloads
+        cases: List[Any] = []
+        index: Dict[Any, int] = {}
+        rows = []
+        last, idx = None, 0
+        for payload in payloads:
+            case, config, trials, verify = payload[:4]
+            if case is not last:
+                idx = index.get(case)
+                if idx is None:
+                    idx = index[case] = len(cases)
+                    cases.append(case)
+                last = case
+            flag = -1 if verify is None else 1 if verify else 0
+            op = _OP_INDEX[payload[4]] if len(payload) > 4 else 0
+            if config is None:
+                rows.append((idx, 0, 0, 0, trials, flag, op))
+            else:
+                rows.append((idx, config.teams, config.v, config.threads,
+                             trials, flag, op))
+        table = np.array(rows, dtype=np.int64).reshape(-1, len(cls.COLUMNS))
+        return cls(cases, table.T)
+
+    def payloads(self) -> List[tuple]:
+        """The payload tuples back, in order (the error path and tests)."""
+        out = []
+        for idx, teams, v, threads, trials, flag, op in zip(
+                *self.columns.tolist()):
+            config = (None if teams == 0
+                      else KernelConfig(teams=teams, v=v, threads=threads))
+            point = (self.cases[idx], config, trials,
+                     None if flag < 0 else bool(flag))
+            out.append(point if op == 0 else point + (OP_CODES[op],))
+        return out
+
+    def __len__(self) -> int:
+        return self.columns.shape[1]
+
+    def __getitem__(self, index: slice) -> "SlabPoints":
+        return SlabPoints(self.cases, self.columns[:, index])
+
+
+class SlabResult:
+    """A slab's results in submission order: float64 ``bandwidth`` and
+    ``elapsed`` columns plus the values.
+
+    Points with the same value share it: ``values`` holds each distinct
+    value once, as a Python ``int`` or ``float``, and the int64 ``group``
+    column indexes it per point.
+    """
+
+    __slots__ = ("bandwidth", "elapsed", "group", "values")
+
+    def __init__(self, bandwidth: np.ndarray, elapsed: np.ndarray,
+                 group: np.ndarray, values: List[Any]) -> None:
+        self.bandwidth = bandwidth
+        self.elapsed = elapsed
+        self.group = group
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.bandwidth)
+
+    def records(self) -> List[dict]:
+        """One ``{"bandwidth_gbs", "elapsed_seconds", "value"}`` dict per
+        point."""
+        values = self.values
+        return [
+            {"bandwidth_gbs": b, "elapsed_seconds": e, "value": values[g]}
+            for b, e, g in zip(self.bandwidth.tolist(),
+                               self.elapsed.tolist(), self.group.tolist())
+        ]
+
+    def value_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-point ``(int64 value, float64 value, is-float)`` columns;
+        the column that does not hold a point's value holds 0."""
+        is_float = np.array([type(x) is float for x in self.values],
+                            dtype=bool)
+        ints = np.array([0 if f else x for x, f in zip(self.values, is_float)],
+                        dtype=np.int64)
+        floats = np.array([x if f else 0.0
+                           for x, f in zip(self.values, is_float)],
+                          dtype=np.float64)
+        return ints[self.group], floats[self.group], is_float[self.group]
+
+
+def _kernel_name(case, op: str, baseline: bool, v: int) -> str:
+    """The scalar path's program name; non-sum identifiers append
+    ``_{op}``."""
+    suffix = "" if op == "+" else f"_{op}"
+    kind = "baseline" if baseline else "optimized"
+    return f"{case.name.lower()}_{kind}{suffix}_v{v}"
+
+
+def _baseline_launch(machine, tables: ModelTables, elements: int) -> tuple:
+    """The baseline kernel's ``(grid, thread_limit)``: ICVs first, then
+    the heuristics (before the device thread limit check)."""
+    gpu = tables.gpu
+    icvs = machine.runtime.icvs
+    if icvs.teams_thread_limit is not None:
+        block = min(icvs.teams_thread_limit, gpu.max_threads_per_block)
+    elif icvs.thread_limit is not None:
+        block = min(icvs.thread_limit, gpu.max_threads_per_block)
+    else:
+        block = default_thread_limit(None)
+    if icvs.num_teams is not None:
+        return icvs.num_teams, block
+    return default_num_teams(elements, block), block
 
 
 def _resolve_point(machine, tables: ModelTables, case, config,
@@ -82,12 +249,9 @@ def _resolve_point(machine, tables: ModelTables, case, config,
     :meth:`~repro.openmp.runtime.DeviceRuntime.resolve_launch` without
     building program/directive objects: clause values first, then ICVs,
     then the heuristics, then the device thread limit check, then the
-    round-up to a whole warp.  Non-sum identifiers append the scalar
-    path's ``_{op}`` program-name suffix.
+    round-up to a whole warp.
     """
     gpu = tables.gpu
-    icvs = machine.runtime.icvs
-    suffix = "" if op == "+" else f"_{op}"
     if config is not None:
         if case.elements % config.v:
             raise LaunchError(
@@ -98,20 +262,10 @@ def _resolve_point(machine, tables: ModelTables, case, config,
         # thread_limit(threads) / num_teams(teams/V) clause evaluations.
         block = config.threads
         grid, from_clause = config.teams // config.v, True
-        name = f"{case.name.lower()}_optimized{suffix}_v{v}"
     else:
         v = 1
-        if icvs.teams_thread_limit is not None:
-            block = min(icvs.teams_thread_limit, gpu.max_threads_per_block)
-        elif icvs.thread_limit is not None:
-            block = min(icvs.thread_limit, gpu.max_threads_per_block)
-        else:
-            block = default_thread_limit(None)
-        if icvs.num_teams is not None:
-            grid, from_clause = icvs.num_teams, False
-        else:
-            grid, from_clause = default_num_teams(case.elements, block), False
-        name = f"{case.name.lower()}_baseline{suffix}_v{v}"
+        grid, block = _baseline_launch(machine, tables, case.elements)
+        from_clause = False
     if block > gpu.max_threads_per_block:
         raise LaunchError(
             f"thread_limit {block} exceeds device maximum "
@@ -119,7 +273,8 @@ def _resolve_point(machine, tables: ModelTables, case, config,
         )
     if block % gpu.warp_size:
         block = -(-block // gpu.warp_size) * gpu.warp_size
-    return grid, block, from_clause, v, name
+    return grid, block, from_clause, v, _kernel_name(case, op, config is None,
+                                                     v)
 
 
 def _validate_point(tables: ModelTables, case, grid: int, block: int,
@@ -156,6 +311,42 @@ def _validate_point(tables: ModelTables, case, grid: int, block: int,
         )
 
 
+def _check_payloads(machine, tables: ModelTables,
+                    payloads: Sequence[tuple]) -> None:
+    """Every scalar check, point by point in submission order."""
+    for payload in payloads:
+        case, config, trials, _verify = payload[:4]
+        op = payload[4] if len(payload) > 4 else "+"
+        if trials <= 0:
+            raise MeasurementError(f"trials must be positive, got {trials}")
+        grid, block, _fc, _v, _name = _resolve_point(
+            machine, tables, case, config, op)
+        _validate_point(tables, case, grid, block, required_arrays(op))
+
+
+def _groups(*columns: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Group the points by their rows across *columns*.
+
+    Returns each point's group id and each group's first point; groups are
+    numbered in order of first appearance.
+    """
+    n = len(columns[0])
+    if n == 1:
+        return np.zeros(1, dtype=np.int64), [0]
+    order = np.lexsort(columns)  # stable: a run starts at its first point
+    keys = np.stack(columns)[:, order]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=starts[1:])
+    first = order[starts]
+    rank = np.argsort(first)
+    relabel = np.empty(len(first), dtype=np.int64)
+    relabel[rank] = np.arange(len(first))
+    gid = np.empty(n, dtype=np.int64)
+    gid[order] = relabel[np.cumsum(starts) - 1]
+    return gid, first[rank].tolist()
+
+
 def _value_key(case, n: int, grid: int, block: int, v: int,
                op: str) -> tuple:
     """What a point's functional value depends on, for the value memo.
@@ -177,13 +368,14 @@ def _operands(machine, case, op: str) -> tuple:
 
 
 def _missing_values(machine, memo: dict, keys: List[tuple],
-                    payloads: Sequence[tuple], grid, block, v_arr,
-                    names: List[str], ops: List[str]) -> dict:
+                    groups: List[tuple], names: List[str]) -> dict:
     """Compute the value of every key *memo* lacks, once per key.
 
+    *keys*, *groups* and *names* run parallel over a slab's value groups:
+    each group's key, ``(case, op, grid, block, v)`` and kernel name.
     Modular addition is associative (any grouping yields ``sum mod
     2**bits``), so an integer sum is one ``np.add.reduce``.  Every other
-    point runs the hierarchical executor, grouped by everything its thread
+    key runs the hierarchical executor, grouped by everything its thread
     level reads: the identifier, T, R, ``n`` and the thread starts.
     """
     misses: dict = {}
@@ -191,15 +383,14 @@ def _missing_values(machine, memo: dict, keys: List[tuple],
         if key not in memo:
             misses.setdefault(key, i)
     values: dict = {}
-    groups: dict = {}
+    levels: dict = {}
     for key, i in misses.items():
-        case, op = payloads[i][0], ops[i]
+        case, op, g, b, v = groups[i]
         rtype = case.result_type
         if op == "+" and rtype.is_integer:
             values[key] = rtype.numpy.type(
                 np.add.reduce(machine.workload(case), dtype=rtype.numpy))
             continue
-        g, b, v = int(grid[i]), int(block[i]), int(v_arr[i])
         kernel = ReductionKernel(
             name=names[i],
             geometry=LaunchGeometry(grid=g, block=b, from_clause=True),
@@ -213,8 +404,8 @@ def _missing_values(machine, memo: dict, keys: List[tuple],
         shared = (op, case.element_type.name, rtype.name,
                   *_thread_starts_key(machine.functional_elements(case),
                                       g, b, v))
-        groups.setdefault(shared, []).append((key, case, kernel))
-    for members in groups.values():
+        levels.setdefault(shared, []).append((key, case, kernel))
+    for members in levels.values():
         _key, case, kernel = members[0]
         data, second = _operands(machine, case, kernel.identifier)
         level = _thread_level(data, kernel, second)
@@ -226,78 +417,90 @@ def _missing_values(machine, memo: dict, keys: List[tuple],
     return values
 
 
-def evaluate_gpu_slab(machine, payloads: Sequence[tuple]) -> List[dict]:
-    """Evaluate a slab of ``gpu_point`` payloads in a few NumPy passes.
+def evaluate_gpu_slab(machine, points: Sequence[tuple]) -> SlabResult:
+    """Evaluate a slab of ``gpu_point`` points in a few NumPy passes.
 
     Parameters
     ----------
     machine:
         The :class:`~repro.core.machine.Machine` the points run on.
-    payloads:
-        ``(case, config, trials, verify)`` tuples, exactly as built by
-        :meth:`~repro.sweep.executor.SweepExecutor.gpu_points`; non-sum
-        reductions append a fifth ``op`` element (identifier string).
+    points:
+        A :class:`SlabPoints`, or ``(case, config, trials, verify)``
+        payload tuples exactly as built by
+        :meth:`~repro.sweep.executor.SweepExecutor.gpu_points` (non-sum
+        reductions append a fifth ``op`` element), converted once.
 
     Returns
     -------
-    list of dict
-        One ``{"bandwidth_gbs", "elapsed_seconds", "value"}`` record per
-        payload, in submission order — byte-identical (canonical JSON)
-        to :func:`repro.verify.oracles.scalar_gpu_records`.
+    SlabResult
+        The points' results in submission order;
+        :meth:`SlabResult.records` gives one ``{"bandwidth_gbs",
+        "elapsed_seconds", "value"}`` dict per point, byte-identical
+        (canonical JSON) to :func:`repro.verify.oracles.scalar_gpu_records`.
     """
-    payloads = list(payloads)
-    n = len(payloads)
+    points = SlabPoints.from_payloads(points)
+    n = len(points)
     metrics().histogram(
         "slab.points_per_batch", boundaries=SLAB_POINT_BUCKETS
     ).observe(n)
     if n == 0:
-        return []
+        empty = np.empty(0, dtype=np.float64)
+        return SlabResult(empty, empty, np.empty(0, dtype=np.int64), [])
     tables = tables_for(machine)
+    cases = points.cases
+    columns = points.columns
+    case_idx, teams, v_col, threads, trials, verify, op = columns
 
-    # -- pass 1: validate in submission order; gather per-point scalars.
-    grid = np.empty(n, dtype=np.int64)
-    block = np.empty(n, dtype=np.int64)
-    v_arr = np.empty(n, dtype=np.int64)
-    trip = np.empty(n, dtype=np.int64)
-    esize = np.empty(n, dtype=np.int64)
-    input_bytes = np.empty(n, dtype=np.float64)
-    trials_arr = np.empty(n, dtype=np.float64)
-    ceiling = np.empty(n, dtype=np.float64)
-    elem_issue = np.empty(n, dtype=np.float64)
-    iter_fixed = np.empty(n, dtype=np.float64)
-    inflight = np.empty(n, dtype=np.float64)
-    combine = np.empty(n, dtype=np.float64)
-    scalar_motion = np.empty(n, dtype=np.float64)
-    from_clause: List[bool] = [False] * n
-    names: List[str] = [""] * n
-    ops: List[str] = ["+"] * n
-    for i, payload in enumerate(payloads):
-        case, config, trials, _verify = payload[:4]
-        op = payload[4] if len(payload) > 4 else "+"
-        ops[i] = op
-        if trials <= 0:
-            raise MeasurementError(f"trials must be positive, got {trials}")
-        g, b, fc, v, name = _resolve_point(machine, tables, case, config, op)
-        _validate_point(tables, case, g, b, required_arrays(op))
-        grid[i] = g
-        block[i] = b
-        v_arr[i] = v
-        trip[i] = case.elements // v
-        from_clause[i] = fc
-        names[i] = name
+    # -- pass 1: per-case constants, then every check over whole columns.
+    # A case the device cannot hold fits no input array; all its points
+    # fail, so its other constants are never read.
+    capacity = tables.device_capacity_bytes
+    int_rows, float_rows = [], []
+    for case in cases:
         erow = tables.elements[case.element_type.name]
         rrow = tables.results[case.result_type.name]
-        esize[i] = erow.size
-        # Mirrors kernel.input_bytes: dot streams both operands, so its
-        # memory term and bandwidth numerator count both arrays.
-        input_bytes[i] = case.input_bytes * required_arrays(op)
-        trials_arr[i] = trials
-        ceiling[i] = erow.ceiling_gbs
-        elem_issue[i] = erow.elem_issue
-        iter_fixed[i] = erow.iter_fixed
-        inflight[i] = erow.inflight_scale
-        combine[i] = rrow.combine_cycles
-        scalar_motion[i] = rrow.scalar_motion_s
+        ib, rsize = case.input_bytes, case.result_type.size
+        fits = 2 if 2 * ib + rsize <= capacity else (
+            1 if ib + rsize <= capacity else 0)
+        elements = case.elements if fits else 1
+        # A baseline point launches as (teams, V, threads) =
+        # (grid, 1, thread_limit).
+        base_grid, base_block = _baseline_launch(machine, tables, elements)
+        int_rows.append((base_grid, 1, base_block, elements, erow.size,
+                         fits, not case.result_type.is_integer))
+        float_rows.append((ib if fits else 0, erow.ceiling_gbs,
+                           erow.elem_issue, erow.iter_fixed,
+                           erow.inflight_scale, rrow.combine_cycles,
+                           rrow.scalar_motion_s))
+    # One row per case; a lone case's rows broadcast over the points.
+    per_case = (np.array(int_rows, dtype=np.int64).T,
+                np.array(float_rows, dtype=np.float64).T)
+    if len(cases) > 1:
+        per_case = [table.take(case_idx, axis=1) for table in per_case]
+    elements, esize, fits, float_result = per_case[0][3:]
+    (case_bytes, ceiling, elem_issue, iter_fixed, inflight, combine,
+     scalar_motion) = per_case[1]
+    is_base = teams == 0
+    launch_teams, v_arr, requested = np.where(
+        is_base, per_case[0][:3], columns[1:4])
+    arrays = _OP_ARRAYS[op]
+    # A block needs more warps than an SM holds exactly when its thread
+    # count, before the warp round-up, exceeds that many warps' threads.
+    limit = min(tables.max_threads_per_block,
+                tables.max_warps_per_sm * tables.warp_size)
+    failed = (trials <= 0) | (elements % v_arr) | (requested > limit)
+    if min(row[5] for row in int_rows) < 2:
+        failed |= arrays > fits
+    if np.count_nonzero(failed):
+        _check_payloads(machine, tables, points.payloads())
+    grid = launch_teams // v_arr
+    block = requested + -requested % tables.warp_size  # whole warps
+    trip = elements // v_arr
+    # Mirrors kernel.input_bytes: dot streams both operands, so its
+    # memory term and bandwidth numerator count both arrays (doubling a
+    # float64 is exact, so this equals the product taken in Python ints).
+    input_bytes = case_bytes * arrays
+    trials_arr = trials.astype(np.float64)
 
     # -- pass 2: the kernel-time model, vectorized.  Each line mirrors
     # the corresponding scalar expression's operation order exactly.
@@ -346,53 +549,64 @@ def evaluate_gpu_slab(machine, payloads: Sequence[tuple]) -> List[dict]:
     bandwidth = input_bytes * trials_arr / 1e9 / elapsed
 
     # -- pass 3: launch trace (submission order, like the serial loop).
-    record_launch = machine.trace.record_launch
-    for i, payload in enumerate(payloads):
-        case = payload[0]
-        record_launch(
-            KernelLaunchRecord(
-                time=0.0,
-                name=names[i],
-                grid=int(grid[i]),
-                block=int(block[i]),
-                elements=case.elements,
-                from_clause=from_clause[i],
-                duration=float(total[i]),
-            )
-        )
+    # A kernel's name depends on its case, op and V column (0: baseline).
+    case_list, op_list, v_list = (case_idx.tolist(), op.tolist(),
+                                  v_col.tolist())
+    name_gid, name_first = _groups(case_idx, op, v_col)
+    kernel_names = [
+        _kernel_name(cases[case_list[i]], OP_CODES[op_list[i]],
+                     v_list[i] == 0, max(v_list[i], 1))
+        for i in name_first
+    ]
+    names = [kernel_names[g] for g in name_gid.tolist()]
+    case_elements = [case.elements for case in cases]
+    grid_list, block_list = grid.tolist(), block.tolist()
+    machine.trace.record_launches(list(map(
+        KernelLaunchRecord, repeat(0.0), names, grid_list, block_list,
+        map(case_elements.__getitem__, case_list), (~is_base).tolist(),
+        total.tolist(),
+    )))
 
-    # -- pass 4: functional values + records.  The memo holds
-    # (value, verified); verification runs once per key, on the first
-    # point that asks for it.
+    # -- pass 4: functional values, once per distinct value.  The memo
+    # holds (value, verified); verification runs once per key, on the
+    # first point that asks for it, and a value is stored only once the
+    # point that computed it has verified it if asked to.
     memo = getattr(machine, "_slab_value_cache", None)
     if memo is None:
         memo = machine._slab_value_cache = {}
-    keys = [
-        _value_key(payload[0], machine.functional_elements(payload[0]),
-                   int(grid[i]), int(block[i]), int(v_arr[i]), ops[i])
-        for i, payload in enumerate(payloads)
-    ]
-    fresh = _missing_values(machine, memo, keys, payloads, grid, block,
-                            v_arr, names, ops)
     strict = machine.config.strict_verify
-    records: List[dict] = []
-    for i, payload in enumerate(payloads):
-        case, verify, key = payload[0], payload[3], keys[i]
-        do_verify = strict if verify is None else verify
+    asked = (verify != 0) if strict else (verify > 0)
+    shape = (grid, block, v_arr)
+    if n > 1:  # (one point is one group)
+        # An integer sum's value ignores the geometry: group it by case.
+        geometric = (op + float_result) > 0
+        shape = tuple(column * geometric for column in shape)
+    # Splitting each value's points by whether they ask for verification
+    # makes the groups' first points every point where the serial loop
+    # touches the memo: a key's first point and its first asking point.
+    gid, first = _groups(case_idx, op, *shape, asked)
+    groups = [(cases[case_list[i]], OP_CODES[op_list[i]], grid_list[i],
+               block_list[i], max(v_list[i], 1)) for i in first]
+    keys = [
+        _value_key(case, machine.functional_elements(case), g, b, v, o)
+        for case, o, g, b, v in groups
+    ]
+    fresh = _missing_values(machine, memo, keys, groups,
+                            [names[i] for i in first])
+    flags = verify.tolist()
+    values: Dict[tuple, Any] = {}
+    for key, i, (case, o, _g, _b, _v) in zip(keys, first, groups):
+        flag = flags[i]
+        ask = strict if flag < 0 else flag > 0
         hit = memo.get(key)
-        if hit is not None and (not do_verify or hit[1]):
-            value = hit[0]
-        else:
-            value = fresh[key] if hit is None else hit[0]
-            if do_verify:
-                data, second = _operands(machine, case, ops[i])
-                verify_result(value, data, case.result_type, ops[i], second)
-            memo[key] = (value, do_verify)
-        records.append(
-            {
-                "bandwidth_gbs": float(bandwidth[i]),
-                "elapsed_seconds": float(elapsed[i]),
-                "value": value.item(),
-            }
-        )
-    return records
+        if key not in values:
+            values[key] = fresh[key] if hit is None else hit[0]
+        if hit is not None and (not ask or hit[1]):
+            continue
+        if ask:
+            data, second = _operands(machine, case, o)
+            verify_result(values[key], data, case.result_type, o, second)
+        memo[key] = (values[key], ask)
+    items = {key: value.item() for key, value in values.items()}
+    return SlabResult(bandwidth, elapsed, gid,
+                      [items[key] for key in keys])

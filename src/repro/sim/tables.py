@@ -152,7 +152,7 @@ class ModelTables:
         """
         wpb = -(-block // self.warp_size)
         over = wpb > self.max_warps_per_sm
-        if np.any(over):
+        if np.count_nonzero(over):
             i = int(np.argmax(over))
             raise LaunchError(
                 f"a {int(block[i])}-thread block needs {int(wpb[i])} warps, "

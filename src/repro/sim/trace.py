@@ -10,14 +10,16 @@ make the paper's profiling claims executable.
 The trace also keeps its own whole-run totals (launches by kernel, bytes
 migrated by reason, ...), whatever the telemetry switch says;
 :func:`repro.telemetry.publish_counts` publishes them as ``sim.*``
-metrics at export time.
+metrics at export time.  The slab evaluator records a whole slab's
+launches with one :meth:`Trace.record_launches` call, which leaves the
+trace exactly as one :meth:`Trace.record_launch` per launch would.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 from ..util.units import format_bytes
 
@@ -29,9 +31,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KernelLaunchRecord:
-    """One device kernel launch."""
+class KernelLaunchRecord(NamedTuple):
+    """One device kernel launch (an immutable, hashable tuple)."""
 
     time: float
     name: str
@@ -118,6 +119,30 @@ class Trace:
         with self._lock:
             _add(self.launches_by_kernel, record.name, 1)
             self.kernel_seconds += record.duration
+
+    def record_launches(self, records: Sequence[KernelLaunchRecord]) -> None:
+        """Record *records* in order, as one :meth:`record_launch` each
+        would: the same retained tail, counts and ``kernel_seconds`` bits.
+        """
+        if not records:
+            return
+        retention = self.retention
+        with self._lock:
+            launches = self.kernel_launches
+            before = len(launches)
+            launches.extend(records)
+            total = len(launches)
+            if total >= 2 * retention:
+                # The first append that reaches 2R cuts the list to R;
+                # each R appends after that cut it back to R again.
+                after = len(records) - max(1, 2 * retention - before)
+                del launches[: total - (retention + after % retention)]
+            counts = self.launches_by_kernel
+            seconds = self.kernel_seconds
+            for record in records:
+                counts[record.name] = counts.get(record.name, 0) + 1
+                seconds += record.duration  # in launch order, like N adds
+            self.kernel_seconds = seconds
 
     def record_migration(self, record: MigrationRecord) -> None:
         self.migrations.append(record)

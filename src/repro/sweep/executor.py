@@ -23,7 +23,10 @@ parameter points through a :class:`SweepExecutor`, which
 
 ``gpu_point`` stages are always priced by the batch-vectorized slab
 (:func:`repro.sim.batch.evaluate_gpu_slab`): in-process when serial,
-over shared memory when pooled.  Telemetry only adds spans around it.
+over shared memory when pooled, where a chunk's points travel as
+:class:`~repro.sim.batch.SlabPoints` columns and come back as
+:class:`~repro.sim.batch.SlabResult` columns; the record dicts are made
+once, when the chunk is collated.  Telemetry only adds spans around it.
 
 A global per-task timeout (``--task-timeout`` / ``REPRO_SWEEP_TIMEOUT`` /
 :attr:`~repro.config.ReproConfig.sweep_task_timeout_s`) records a
@@ -272,8 +275,8 @@ def _task_gpu_slab(machine: Machine, payload: tuple) -> dict:
     with tele_span(
         "slab.evaluate", category="sweep", points=len(points)
     ):
-        records = evaluate_gpu_slab(machine, points)
-    response = shm.pack_gpu_slab_response(header["shm"], records)
+        result = evaluate_gpu_slab(machine, points)
+    response = shm.pack_gpu_slab_response(header["shm"], result)
     if mangle and response["nbytes"]:
         segment = shm.attach_segment(response["shm"])
         try:
@@ -559,22 +562,24 @@ class SweepExecutor:
         with tele_span(
             "sweep.slab", category="sweep", points=len(payloads)
         ):
-            return evaluate_gpu_slab(self.machine, payloads)
+            return evaluate_gpu_slab(self.machine, payloads).records()
 
     def _compute_slab_pool(self, payloads: List[tuple]) -> List[dict]:
         from ..faults.supervisor import failure_record
-        from ..sim.batch import SLAB_POINT_BUCKETS, evaluate_gpu_slab
+        from ..sim.batch import SLAB_POINT_BUCKETS, SlabPoints, \
+            evaluate_gpu_slab
         from . import shm
 
         pool = self._ensure_pool()
-        n = len(payloads)
+        points = SlabPoints.from_payloads(payloads)
+        n = len(points)
         if self.task_timeout_s is not None:
             # A deadline is a per-point contract: one point per task, so
             # a slow point fails alone instead of taking its chunk along.
             size = 1
         else:
             size = max(1, min(_SLAB_CHUNK_CAP, -(-n // self.workers)))
-        chunks = [payloads[i : i + size] for i in range(0, n, size)]
+        chunks = [points[i : i + size] for i in range(0, n, size)]
         reg = metrics()
         headers = []
         try:
@@ -599,7 +604,7 @@ class SweepExecutor:
                     attempts = record.get("attempts", 1)
                     out.extend(
                         failure_record("gpu_point", message, attempts)
-                        for _ in chunk
+                        for _ in range(len(chunk))
                     )
                     continue
                 try:
@@ -611,7 +616,9 @@ class SweepExecutor:
                     # Detected corruption (or a reaped segment): never
                     # collate suspect bytes — recompute the chunk here.
                     reg.counter("slab.transport_errors").add(1)
-                    out.extend(evaluate_gpu_slab(self.machine, chunk))
+                    out.extend(
+                        evaluate_gpu_slab(self.machine, chunk).records()
+                    )
             return out
         finally:
             for header in headers:

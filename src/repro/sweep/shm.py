@@ -1,12 +1,15 @@
 """Zero-copy slab transport over ``multiprocessing.shared_memory``.
 
 The pickle path serializes every sweep point's payload and result dict
-through the worker pipe.  For slab dispatch the executor instead packs a
-whole chunk of ``gpu_point`` payloads into one shared-memory segment of
-typed int64 columns, sends only a tiny pickled *header* (segment name,
-length, the distinct :class:`~repro.core.cases.Case` objects, and a
-SHA-256 of the buffer), and the worker writes its result slab into a
-second segment the coordinator collates from views.
+through the worker pipe.  For slab dispatch the executor instead copies
+a chunk's :class:`~repro.sim.batch.SlabPoints` columns into one
+shared-memory segment of int64 columns, sends only a tiny pickled
+*header* (segment name, length, the distinct
+:class:`~repro.core.cases.Case` objects, and a SHA-256 of the buffer),
+and the worker hands the columns it reads back straight to the slab
+evaluator, then copies the :class:`~repro.sim.batch.SlabResult` columns
+into a second segment.  Neither side builds a per-point object; the
+coordinator makes the record dicts once, when it collates the response.
 
 Leak discipline — the classic failure mode of this transport is a stale
 ``/dev/shm`` segment surviving a crash:
@@ -39,7 +42,7 @@ import secrets
 import os
 import threading
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -60,17 +63,6 @@ __all__ = [
 
 #: Name prefix of every segment this module creates (leak tests scan it).
 SEGMENT_PREFIX = "repro-slab-"
-
-#: Request columns, in buffer order (all int64).  ``op`` carries the
-#: reduction identifier as an index into :data:`_OP_CODES` — 0 (sum)
-#: round-trips back to the historical 4-tuple payload shape.
-_REQUEST_COLUMNS = ("case_idx", "teams", "v", "threads", "trials", "verify",
-                    "op")
-
-#: Transport-only encoding of reduction identifiers (never persisted —
-#: cache fingerprints see the payload tuples, not this buffer layout).
-_OP_CODES = ("+", "-", "*", "max", "min", "&", "|", "^", "&&", "||",
-             "argmax", "dot")
 
 #: Response columns, in buffer order (all 8-byte; dtype per column).
 _RESPONSE_COLUMNS = (
@@ -219,57 +211,40 @@ def response_name(request_name: str) -> str:
     return f"{request_name}-out"
 
 
-def pack_gpu_slab_request(payloads: Sequence[tuple]) -> Dict[str, Any]:
-    """Pack ``(case, config, trials, verify)`` payloads into a segment.
+def pack_gpu_slab_request(points: Any) -> Dict[str, Any]:
+    """Copy a chunk's :class:`~repro.sim.batch.SlabPoints` into a segment.
 
-    Returns the pipe header: segment name, point count, the distinct
-    ``Case`` objects (indexed by the ``case_idx`` column), and the
-    buffer digest.  The caller owns the segment (release via
-    :func:`release_segment`); the derived response name is registered
-    for cleanup too.
+    Payload tuples are converted once on entry.  Returns the pipe header:
+    segment name, point count, the distinct ``Case`` objects (indexed by
+    the ``case_idx`` column), and the buffer digest.  The caller owns the
+    segment (release via :func:`release_segment`); the derived response
+    name is registered for cleanup too.
     """
-    n = len(payloads)
-    cases: List[Any] = []
-    case_index: Dict[Any, int] = {}
-    columns = np.empty((len(_REQUEST_COLUMNS), n), dtype=np.int64)
-    for i, payload in enumerate(payloads):
-        case, config, trials, verify = payload[:4]
-        op = payload[4] if len(payload) > 4 else "+"
-        idx = case_index.get(case)
-        if idx is None:
-            idx = case_index[case] = len(cases)
-            cases.append(case)
-        columns[0, i] = idx
-        if config is None:
-            columns[1, i] = 0
-            columns[2, i] = 0
-            columns[3, i] = 0
-        else:
-            columns[1, i] = config.teams
-            columns[2, i] = config.v
-            columns[3, i] = config.threads
-        columns[4, i] = trials
-        columns[5, i] = -1 if verify is None else int(bool(verify))
-        columns[6, i] = _OP_CODES.index(op)
-    segment = create_segment(columns.nbytes)
+    # Imported lazily: repro.sim.batch reaches repro.sweep through the
+    # model tables' fingerprinting, so a module-level import would cycle.
+    from ..sim.batch import SlabPoints
+
+    points = SlabPoints.from_payloads(points)
+    nbytes = points.columns.nbytes
+    segment = create_segment(nbytes)
     expect_segment(response_name(segment.name))
-    view = np.ndarray(columns.shape, dtype=np.int64, buffer=segment.buf)
-    view[:] = columns
+    view = np.ndarray(points.columns.shape, dtype=np.int64,
+                      buffer=segment.buf)
+    view[:] = points.columns
     return {
         "shm": segment.name,
-        "n": n,
-        "cases": cases,
-        "sha256": _digest(segment.buf[: columns.nbytes]),
-        "nbytes": columns.nbytes,
+        "n": len(points),
+        "cases": points.cases,
+        "sha256": _digest(segment.buf[:nbytes]),
+        "nbytes": nbytes,
     }
 
 
-def unpack_gpu_slab_request(header: Dict[str, Any]) -> List[tuple]:
-    """Rebuild the payload list from a request header (worker side)."""
-    from ..core.optimized import KernelConfig
+def unpack_gpu_slab_request(header: Dict[str, Any]) -> Any:
+    """The request's :class:`~repro.sim.batch.SlabPoints` (worker side)."""
+    from ..sim.batch import SlabPoints
 
     n = int(header["n"])
-    cases = header["cases"]
     segment = attach_segment(header["shm"])
     try:
         nbytes = int(header["nbytes"])
@@ -279,57 +254,33 @@ def unpack_gpu_slab_request(header: Dict[str, Any]) -> List[tuple]:
                 "verification"
             )
         columns = np.ndarray(
-            (len(_REQUEST_COLUMNS), n), dtype=np.int64, buffer=segment.buf
+            (len(SlabPoints.COLUMNS), n), dtype=np.int64, buffer=segment.buf
         ).copy()
     finally:
         segment.close()
-    payloads: List[tuple] = []
-    for i in range(n):
-        case = cases[int(columns[0, i])]
-        if columns[1, i] == 0:
-            config = None
-        else:
-            config = KernelConfig(
-                teams=int(columns[1, i]),
-                v=int(columns[2, i]),
-                threads=int(columns[3, i]),
-            )
-        flag = int(columns[5, i])
-        verify = None if flag < 0 else bool(flag)
-        op = _OP_CODES[int(columns[6, i])]
-        base = (case, config, int(columns[4, i]), verify)
-        payloads.append(base if op == "+" else base + (op,))
-    return payloads
+    return SlabPoints(header["cases"], columns)
 
 
-def pack_gpu_slab_response(
-    request_name: str, records: Sequence[dict]
-) -> Dict[str, Any]:
-    """Pack result records into the derived response segment (worker side).
+def pack_gpu_slab_response(request_name: str, result: Any) -> Dict[str, Any]:
+    """Copy a :class:`~repro.sim.batch.SlabResult` into the derived
+    response segment (worker side).
 
     The worker does not own the segment's lifetime — the coordinator
     unlinks it by derived name — so it is created untracked, healing any
     leftover from a crashed previous attempt of the same task.
     """
-    n = len(records)
-    columns = np.zeros((len(_RESPONSE_COLUMNS), n), dtype=np.float64)
-    ints = np.zeros(n, dtype=np.int64)
-    for i, record in enumerate(records):
-        columns[0, i] = record["bandwidth_gbs"]
-        columns[1, i] = record["elapsed_seconds"]
-        value = record["value"]
-        if isinstance(value, float):
-            columns[3, i] = value
-            columns[4, i] = 1.0
-        else:
-            ints[i] = value
+    n = len(result)
+    columns = np.empty((len(_RESPONSE_COLUMNS), n), dtype=np.float64)
+    columns[0] = result.bandwidth
+    columns[1] = result.elapsed
+    value_int, columns[3], columns[4] = result.value_columns()
+    columns[2].view(np.int64)[:] = value_int
     nbytes = columns.nbytes
     segment = create_segment(
         nbytes, name=response_name(request_name), owner=False
     )
     view = np.ndarray(columns.shape, dtype=np.float64, buffer=segment.buf)
     view[:] = columns
-    view[2].view(np.int64)[:] = ints
     digest = _digest(segment.buf[:nbytes])
     segment.close()
     return {
@@ -349,6 +300,8 @@ def unpack_gpu_slab_response(header: Dict[str, Any]) -> List[dict]:
         If the segment is missing or its bytes do not match the digest
         (detected corruption — the caller recomputes, never collates).
     """
+    from ..sim.batch import SlabResult
+
     n = int(header["n"])
     segment = attach_segment(header["shm"])
     try:
@@ -363,18 +316,8 @@ def unpack_gpu_slab_response(header: Dict[str, Any]) -> List[dict]:
         ).copy()
     finally:
         segment.close()
-    value_int = columns[2].view(np.int64)
-    records: List[dict] = []
-    for i in range(n):
-        if columns[4, i]:
-            value: Any = float(columns[3, i])
-        else:
-            value = int(value_int[i])
-        records.append(
-            {
-                "bandwidth_gbs": float(columns[0, i]),
-                "elapsed_seconds": float(columns[1, i]),
-                "value": value,
-            }
-        )
-    return records
+    is_float = columns[4] != 0
+    values = columns[2].view(np.int64).astype(object)
+    values[is_float] = columns[3][is_float].astype(object)
+    return SlabResult(columns[0], columns[1], np.arange(n),
+                      values.tolist()).records()

@@ -221,26 +221,25 @@ def _bench_slab_microbench(machine: Machine, repeats: int) -> Dict[str, Any]:
 
 
 def _bench_pool_transport(machine: Machine, repeats: int) -> Dict[str, Any]:
-    """Shared-memory slab transport roundtrip (no pool): pack a 4096-point
-    request, attach + unpack it, pack the response slab, collate it, and
-    unlink both segments."""
-    from ..sim.batch import evaluate_gpu_slab
+    """Shared-memory slab transport roundtrip (no pool): copy a 4096-point
+    request's columns in, attach + read them back, copy the result columns
+    into the response, collate its records, and unlink both segments."""
+    from ..sim.batch import SlabPoints, evaluate_gpu_slab
     from ..sweep import shm
 
     case = case_by_name("C1")
-    payloads = [
+    points = SlabPoints.from_payloads([
         (case, KernelConfig(teams=1 << (4 + i % 12), v=4, threads=256),
          200, False)
         for i in range(4096)
-    ]
-    record = evaluate_gpu_slab(machine, payloads[:1])[0]
-    records = [dict(record) for _ in payloads]
+    ])
+    result = evaluate_gpu_slab(machine, points)
 
     def once() -> None:
-        header = shm.pack_gpu_slab_request(payloads)
+        header = shm.pack_gpu_slab_request(points)
         try:
             shm.unpack_gpu_slab_request(header)
-            response = shm.pack_gpu_slab_response(header["shm"], records)
+            response = shm.pack_gpu_slab_response(header["shm"], result)
             shm.unpack_gpu_slab_response(response)
         finally:
             shm.release_segment(header["shm"])
@@ -250,8 +249,8 @@ def _bench_pool_transport(machine: Machine, repeats: int) -> Dict[str, Any]:
     seconds = _best(once, repeats)
     return {
         "seconds": seconds,
-        "points": len(payloads),
-        "per_point_s": seconds / len(payloads),
+        "points": len(points),
+        "per_point_s": seconds / len(points),
     }
 
 
@@ -294,12 +293,13 @@ def _bench_telemetry_overhead(
 
 
 def _bench_stream_write(machine: Machine, repeats: int) -> Dict[str, Any]:
-    """Amortized per-record append cost of the jobs result store."""
+    """Amortized per-record append cost of the jobs result store, for the
+    record a ``gpu_point`` job writes."""
     from ..jobs.store import ResultStore
 
     record = {
-        "case": "C1", "teams": 4096, "v": 4, "threads": 256,
-        "trials": 200, "seconds": 1.234e-3, "bandwidth_gbs": 123.456,
+        "bandwidth_gbs": 123.456, "elapsed_seconds": 1.234e-3,
+        "value": -135550,
     }
     digest = "0123456789abcdef"
     count = 4096

@@ -85,7 +85,7 @@ class TestSlabEqualsScalar:
     @settings(max_examples=80, deadline=None)
     def test_records_byte_identical(self, payloads):
         slab_machine, oracle = _machines()
-        slab_records = evaluate_gpu_slab(slab_machine, payloads)
+        slab_records = evaluate_gpu_slab(slab_machine, payloads).records()
         oracle_records = scalar_gpu_records(oracle, payloads)
         assert canonical_json(slab_records) == canonical_json(oracle_records)
 
@@ -104,23 +104,84 @@ class TestSlabEqualsScalar:
     @settings(max_examples=40, deadline=None)
     def test_singleton_slab(self, payload):
         slab_machine, oracle = _machines()
-        [record] = evaluate_gpu_slab(slab_machine, [payload])
+        [record] = evaluate_gpu_slab(slab_machine, [payload]).records()
         assert canonical_json(record) == canonical_json(
             scalar_gpu_records(oracle, [payload])[0]
         )
 
     def test_empty_slab(self):
         slab_machine, _ = _machines()
-        assert evaluate_gpu_slab(slab_machine, []) == []
+        assert evaluate_gpu_slab(slab_machine, []).records() == []
 
     @given(payloads=st.lists(gpu_point_payloads(), min_size=1, max_size=6))
     @settings(max_examples=30, deadline=None)
     def test_repeat_evaluation_is_stable(self, payloads):
         # The per-machine value memo must never change results.
         slab_machine, _ = _machines()
-        first = evaluate_gpu_slab(slab_machine, payloads)
-        second = evaluate_gpu_slab(slab_machine, payloads)
+        first = evaluate_gpu_slab(slab_machine, payloads).records()
+        second = evaluate_gpu_slab(slab_machine, payloads).records()
         assert canonical_json(first) == canonical_json(second)
+
+
+# -- exception parity: the first failing point decides ----------------------
+
+_GPU = Machine(config=_CONFIG).system.gpu
+_CAPACITY = _GPU.memory.capacity_bytes
+
+
+@st.composite
+def failing_payloads(draw):
+    """One payload the scalar path refuses, of one of five kinds."""
+    kind = draw(st.sampled_from(
+        ("trials", "divisibility", "thread_limit", "capacity", "dot")))
+    verify = draw(st.sampled_from([None, False, True]))
+    config = KernelConfig(teams=1024, v=4, threads=256)
+    if kind == "trials":
+        case, config, _trials, verify = draw(gpu_point_payloads())
+        return (case, config, draw(st.sampled_from([0, -1, -200])), verify)
+    if kind == "divisibility":
+        v = draw(st.sampled_from([2, 4, 32]))
+        odd = draw(st.sampled_from([1, 17, 255]))
+        case = Case(f"odd{odd}", "int32", "int32", elements=odd)
+        return (case, KernelConfig(teams=1024, v=v), 5, verify)
+    if kind == "thread_limit":
+        case = draw(gpu_point_payloads())[0]
+        threads = draw(st.sampled_from(
+            [_GPU.max_threads_per_block + 1, 2 * _GPU.max_threads_per_block]))
+        return (case, KernelConfig(teams=1024, v=1, threads=threads), 5,
+                verify)
+    if kind == "capacity":
+        # More elements than device memory holds bytes.
+        case = Case("huge", "int8", "int64",
+                    elements=_CAPACITY + draw(st.sampled_from([1, 1024])))
+        return (case, draw(st.sampled_from([None, config])), 5, verify)
+    # A dot product maps two arrays: each fits, both do not.
+    case = Case("half", "float32", "float32",
+                elements=(_CAPACITY * 3 // 4) // 4 // 32 * 32)
+    return (case, draw(st.sampled_from([None, config])), 5, verify, "dot")
+
+
+@st.composite
+def failing_slabs(draw):
+    """Valid and failing payloads, at least one failing, in any order."""
+    points = (draw(st.lists(gpu_point_payloads(), max_size=4))
+              + draw(st.lists(failing_payloads(), min_size=1, max_size=3)))
+    return draw(st.permutations(points))
+
+
+class TestExceptionParity:
+    @given(payloads=failing_slabs())
+    @settings(max_examples=60, deadline=None)
+    def test_same_exception_as_the_scalar_path(self, payloads):
+        # The slab checks whole columns; when a point fails it must raise
+        # what the serial loop raises at its first failing point.
+        slab_machine, oracle = _machines()
+        with pytest.raises(Exception) as slab_error:
+            evaluate_gpu_slab(slab_machine, payloads)
+        with pytest.raises(Exception) as scalar_error:
+            scalar_gpu_records(oracle, payloads)
+        assert type(slab_error.value) is type(scalar_error.value)
+        assert str(slab_error.value) == str(scalar_error.value)
 
 
 # -- float panels: the shared thread level ----------------------------------
@@ -207,7 +268,7 @@ class TestFloatPanels:
     @settings(max_examples=60, deadline=None)
     def test_panel_records_and_traces_identical(self, payloads):
         slab_machine, oracle = _panel_machines()
-        slab_records = evaluate_gpu_slab(slab_machine, payloads)
+        slab_records = evaluate_gpu_slab(slab_machine, payloads).records()
         oracle_records = scalar_gpu_records(oracle, payloads)
         assert canonical_json(slab_records) == canonical_json(oracle_records)
         assert (
@@ -248,8 +309,9 @@ class TestFloatPanels:
         payloads.append((_panel_case(etype, rtype, 1 << 16, tag="max"),
                          configs[0], 5, True, "max"))
         slab_machine, oracle = _panel_machines()
-        assert canonical_json(evaluate_gpu_slab(slab_machine, payloads)) \
-            == canonical_json(scalar_gpu_records(oracle, payloads))
+        assert canonical_json(
+            evaluate_gpu_slab(slab_machine, payloads).records()
+        ) == canonical_json(scalar_gpu_records(oracle, payloads))
 
 
 class TestSharedThreadLevels:
@@ -292,7 +354,7 @@ class TestSharedThreadLevels:
             chunks.add(thread_iters * config.v)
         assert len(chunks) == 13
 
-        records = evaluate_gpu_slab(machine, payloads)
+        records = evaluate_gpu_slab(machine, payloads).records()
         assert counted["thread"] == len(chunks)
         assert counted["team"] == 60
         oracle = Machine(system=machine.system,
@@ -300,7 +362,7 @@ class TestSharedThreadLevels:
         assert canonical_json(records) == canonical_json(
             scalar_gpu_records(oracle, payloads))
         # The value memo replays the panel without another thread level.
-        assert evaluate_gpu_slab(machine, payloads) == records
+        assert evaluate_gpu_slab(machine, payloads).records() == records
         assert counted["thread"] == len(chunks)
 
     def test_one_thread_level_alive_at_a_time(self, monkeypatch):

@@ -1,7 +1,11 @@
 """Tests for the execution trace (the built-in profiler)."""
 
+import struct
 import sys
 import threading
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.trace import (
     KernelLaunchRecord,
@@ -103,3 +107,35 @@ class TestTotals:
         finally:
             sys.setswitchinterval(interval)
         assert trace.n_launches == threads * per_thread
+
+
+class TestRecordLaunches:
+    @given(retention=st.integers(1, 16), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_equals_one_by_one(self, retention, data):
+        names = st.sampled_from(["k0", "k1", "k2"])
+        durations = st.sampled_from([0.1, 1e-17, 3.3e16, 0.7, 2.5e-9])
+        launches = st.lists(
+            st.builds(_launch, name=names, duration=durations),
+            max_size=5 * retention,
+        )
+        before, batch = data.draw(launches), data.draw(launches)
+        one_by_one, bulk = Trace(retention), Trace(retention)
+        for record in before:
+            one_by_one.record_launch(record)
+            bulk.record_launch(record)
+        for record in batch:
+            one_by_one.record_launch(record)
+        bulk.record_launches(batch)
+        assert bulk.kernel_launches == one_by_one.kernel_launches
+        assert list(bulk.launches_by_kernel.items()) == \
+            list(one_by_one.launches_by_kernel.items())
+        assert bulk.n_launches == one_by_one.n_launches
+        assert struct.pack("<d", bulk.kernel_seconds) == \
+            struct.pack("<d", one_by_one.kernel_seconds)
+
+    def test_launch_record_is_immutable_and_hashable(self):
+        record = _launch()
+        with pytest.raises(AttributeError):
+            record.grid = 256
+        assert hash(record) == hash(_launch()) and record == _launch()

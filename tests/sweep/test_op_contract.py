@@ -98,7 +98,7 @@ class TestShmOpColumn:
     def _roundtrip(self, payloads):
         header = pack_gpu_slab_request(payloads)
         try:
-            return unpack_gpu_slab_request(header)
+            return unpack_gpu_slab_request(header).payloads()
         finally:
             release_segment(header["shm"])
             release_segment(response_name(header["shm"]))

@@ -9,6 +9,7 @@ scan ``/dev/shm`` for the module's name prefix directly.
 import glob
 import os
 
+import numpy as np
 import pytest
 
 from repro import Machine, ReproConfig
@@ -16,6 +17,7 @@ from repro.core.cases import C1, C2, C3
 from repro.core.optimized import KernelConfig
 from repro.faults import injector
 from repro.faults.plan import FaultPlan
+from repro.sim.batch import SlabResult
 from repro.sweep import SweepExecutor, shm
 from repro.sweep.fingerprint import canonical_json
 from repro.verify.oracles import scalar_gpu_records
@@ -51,6 +53,16 @@ PAYLOADS = [
 ]
 
 
+def _result(records):
+    """The :class:`SlabResult` whose ``records()`` are *records*."""
+    return SlabResult(
+        np.array([r["bandwidth_gbs"] for r in records], dtype=np.float64),
+        np.array([r["elapsed_seconds"] for r in records], dtype=np.float64),
+        np.arange(len(records)),
+        [r["value"] for r in records],
+    )
+
+
 def _find_seed(rate, pattern):
     """Smallest seed whose rule-0 draws fire exactly per *pattern*."""
     for seed in range(2000):
@@ -67,7 +79,7 @@ class TestRequestRoundtrip:
     def test_payloads_survive_byte_for_byte(self):
         header = shm.pack_gpu_slab_request(PAYLOADS)
         try:
-            assert shm.unpack_gpu_slab_request(header) == PAYLOADS
+            assert shm.unpack_gpu_slab_request(header).payloads() == PAYLOADS
         finally:
             shm.release_segment(header["shm"])
             shm.release_segment(shm.response_name(header["shm"]))
@@ -86,7 +98,7 @@ class TestRequestRoundtrip:
         payloads = PAYLOADS[:count]
         header = shm.pack_gpu_slab_request(payloads)
         try:
-            assert shm.unpack_gpu_slab_request(header) == payloads
+            assert shm.unpack_gpu_slab_request(header).payloads() == payloads
         finally:
             shm.release_segment(header["shm"])
             shm.release_segment(shm.response_name(header["shm"]))
@@ -95,7 +107,7 @@ class TestRequestRoundtrip:
         payloads = [(C1, None, 1, flag) for flag in (None, False, True)]
         header = shm.pack_gpu_slab_request(payloads)
         try:
-            unpacked = shm.unpack_gpu_slab_request(header)
+            unpacked = shm.unpack_gpu_slab_request(header).payloads()
             assert [p[3] for p in unpacked] == [None, False, True]
         finally:
             shm.release_segment(header["shm"])
@@ -114,7 +126,9 @@ class TestResponseRoundtrip:
     def _roundtrip(self, records):
         request = shm.pack_gpu_slab_request([])
         try:
-            response = shm.pack_gpu_slab_response(request["shm"], records)
+            response = shm.pack_gpu_slab_response(
+                request["shm"], _result(records)
+            )
             return shm.unpack_gpu_slab_response(response)
         finally:
             shm.release_segment(request["shm"])
@@ -152,7 +166,9 @@ class TestIntegrity:
             records = [
                 {"bandwidth_gbs": 1.0, "elapsed_seconds": 1.0, "value": 1}
             ]
-            response = shm.pack_gpu_slab_response(request["shm"], records)
+            response = shm.pack_gpu_slab_response(
+                request["shm"], _result(records)
+            )
             segment = shm.attach_segment(response["shm"])
             try:
                 segment.buf[0] = segment.buf[0] ^ 0xFF
