@@ -12,22 +12,23 @@ order exactly (IEEE-754 float64 elementwise operations are deterministic,
 so an identical expression tree over identical inputs yields identical
 bits):
 
-1. *validation* runs over whole columns.  A baseline point's geometry and
-   the device capacity checks depend only on its case (and op), so they
-   are resolved once per case.  If any point fails, the scalar checks run
-   over the rebuilt payloads in submission order, so the same exception
-   type and message, from the same first failing point, come out as from
-   the serial loop (trials / divisibility / thread_limit / device
-   capacity / occupancy);
+1. *validation*: a baseline point's launch and the device capacity
+   checks depend only on its case and op, so they are resolved once per
+   (case, op); divisibility is checked once per distinct (case, op, V),
+   and trials and thread counts by their columns' extremes.  If any point
+   fails, the scalar checks run over the rebuilt payloads in submission
+   order, so the same exception type and message, from the same first
+   failing point, come out as from the serial loop (trials /
+   divisibility / thread_limit / device capacity / occupancy);
 2. per-point model constants come from the precomputed
-   :class:`~repro.sim.tables.ModelTables` rows, gathered per case;
+   :class:`~repro.sim.tables.ModelTables` rows, gathered per (case, op);
 3. the kernel-time model of :func:`~repro.gpu.perf.estimate_kernel_time`
    runs once over arrays, and the launches are recorded with one
    :meth:`~repro.sim.trace.Trace.record_launches` call;
 4. functional values are memoized per machine, and a slab computes each
    value the memo lacks once: the points are grouped by what their value
    depends on (case, op and geometry; an integer sum by case alone), so
-   the memo, verification and ``.item()`` run once per distinct value.
+   the memo, verification and ``.item()`` run once per value group.
    Integer sums are geometry-independent (modular addition is
    associative — any grouping yields ``sum mod 2**bits``), so one
    ``np.add.reduce`` per (T, R, size) serves every geometry.  Every other
@@ -41,8 +42,9 @@ bits):
    time and none outlives the call; the memo keeps scalars only.
 
 The only per-point Python is building the launch records and the result
-values (plus the scalar checks on the error path); result dicts are made
-by :meth:`SlabResult.records`, where a caller needs them.
+values (plus the scalar checks on the error path); groups and names are
+found with dicts over the columns' lists, and result dicts are made by
+:meth:`SlabResult.records`, where a caller needs them.
 
 Known, intentional divergence from the serial loop: the slab validates
 *every* point before computing any, so when two points would both raise,
@@ -60,7 +62,7 @@ itself stays a pure function.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import count, repeat
 from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -100,8 +102,7 @@ OP_CODES: Tuple[str, ...] = ("+", "-", "*", "max", "min", "&", "|", "^",
                              "&&", "||", "argmax", "dot")
 _OP_INDEX = {op: code for code, op in enumerate(OP_CODES)}
 #: Input arrays each op streams (``dot`` reads two), by op code.
-_OP_ARRAYS = np.array([required_arrays(op) for op in OP_CODES],
-                      dtype=np.int64)
+_OP_ARRAYS: Tuple[int, ...] = tuple(required_arrays(op) for op in OP_CODES)
 
 
 class SlabPoints:
@@ -132,17 +133,13 @@ class SlabPoints:
         """
         if isinstance(payloads, SlabPoints):
             return payloads
-        cases: List[Any] = []
-        index: Dict[Any, int] = {}
+        index: Dict[Any, int] = {}  # distinct cases, in order
         rows = []
-        last, idx = None, 0
+        last = idx = None
         for payload in payloads:
             case, config, trials, verify = payload[:4]
             if case is not last:
-                idx = index.get(case)
-                if idx is None:
-                    idx = index[case] = len(cases)
-                    cases.append(case)
+                idx = index.setdefault(case, len(index))
                 last = case
             flag = -1 if verify is None else 1 if verify else 0
             op = _OP_INDEX[payload[4]] if len(payload) > 4 else 0
@@ -152,7 +149,7 @@ class SlabPoints:
                 rows.append((idx, config.teams, config.v, config.threads,
                              trials, flag, op))
         table = np.array(rows, dtype=np.int64).reshape(-1, len(cls.COLUMNS))
-        return cls(cases, table.T)
+        return cls(list(index), table.T)
 
     def payloads(self) -> List[tuple]:
         """The payload tuples back, in order (the error path and tests)."""
@@ -177,22 +174,22 @@ class SlabResult:
     """A slab's results in submission order: float64 ``bandwidth`` and
     ``elapsed`` columns plus the values.
 
-    Points with the same value share it: ``values`` holds each distinct
-    value once, as a Python ``int`` or ``float``, and the int64 ``group``
-    column indexes it per point.
+    Points with the same value share it: ``values`` holds one Python
+    ``int`` or ``float`` per value group, and ``group`` lists each point's
+    group.
     """
 
     __slots__ = ("bandwidth", "elapsed", "group", "values")
 
     def __init__(self, bandwidth: np.ndarray, elapsed: np.ndarray,
-                 group: np.ndarray, values: List[Any]) -> None:
+                 group: List[int], values: List[Any]) -> None:
         self.bandwidth = bandwidth
         self.elapsed = elapsed
         self.group = group
         self.values = values
 
     def __len__(self) -> int:
-        return len(self.bandwidth)
+        return len(self.group)
 
     def records(self) -> List[dict]:
         """One ``{"bandwidth_gbs", "elapsed_seconds", "value"}`` dict per
@@ -201,20 +198,8 @@ class SlabResult:
         return [
             {"bandwidth_gbs": b, "elapsed_seconds": e, "value": values[g]}
             for b, e, g in zip(self.bandwidth.tolist(),
-                               self.elapsed.tolist(), self.group.tolist())
+                               self.elapsed.tolist(), self.group)
         ]
-
-    def value_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-point ``(int64 value, float64 value, is-float)`` columns;
-        the column that does not hold a point's value holds 0."""
-        is_float = np.array([type(x) is float for x in self.values],
-                            dtype=bool)
-        ints = np.array([0 if f else x for x, f in zip(self.values, is_float)],
-                        dtype=np.int64)
-        floats = np.array([x if f else 0.0
-                           for x, f in zip(self.values, is_float)],
-                          dtype=np.float64)
-        return ints[self.group], floats[self.group], is_float[self.group]
 
 
 def _kernel_name(case, op: str, baseline: bool, v: int) -> str:
@@ -241,9 +226,8 @@ def _baseline_launch(machine, tables: ModelTables, elements: int) -> tuple:
     return default_num_teams(elements, block), block
 
 
-def _resolve_point(machine, tables: ModelTables, case, config,
-                   op: str = "+") -> tuple:
-    """Launch geometry + kernel name for one point, scalar-path order.
+def _resolve_point(machine, tables: ModelTables, case, config) -> tuple:
+    """Launch ``(grid, block)`` for one point, scalar-path order.
 
     Mirrors ``cached_compile(program).launch(...)`` →
     :meth:`~repro.openmp.runtime.DeviceRuntime.resolve_launch` without
@@ -258,14 +242,11 @@ def _resolve_point(machine, tables: ModelTables, case, config,
                 f"case {case.name}: M={case.elements} is not divisible by "
                 f"v={config.v}"
             )
-        v = config.v
         # thread_limit(threads) / num_teams(teams/V) clause evaluations.
         block = config.threads
-        grid, from_clause = config.teams // config.v, True
+        grid = config.teams // config.v
     else:
-        v = 1
         grid, block = _baseline_launch(machine, tables, case.elements)
-        from_clause = False
     if block > gpu.max_threads_per_block:
         raise LaunchError(
             f"thread_limit {block} exceeds device maximum "
@@ -273,8 +254,7 @@ def _resolve_point(machine, tables: ModelTables, case, config,
         )
     if block % gpu.warp_size:
         block = -(-block // gpu.warp_size) * gpu.warp_size
-    return grid, block, from_clause, v, _kernel_name(case, op, config is None,
-                                                     v)
+    return grid, block
 
 
 def _validate_point(tables: ModelTables, case, grid: int, block: int,
@@ -319,32 +299,19 @@ def _check_payloads(machine, tables: ModelTables,
         op = payload[4] if len(payload) > 4 else "+"
         if trials <= 0:
             raise MeasurementError(f"trials must be positive, got {trials}")
-        grid, block, _fc, _v, _name = _resolve_point(
-            machine, tables, case, config, op)
+        grid, block = _resolve_point(machine, tables, case, config)
         _validate_point(tables, case, grid, block, required_arrays(op))
 
 
-def _groups(*columns: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """Group the points by their rows across *columns*.
+def _groups(*columns: List[int]) -> Tuple[List[int], List[tuple]]:
+    """Group the points by their rows across the *columns* lists.
 
-    Returns each point's group id and each group's first point; groups are
+    Returns each point's group number and each group's row; groups are
     numbered in order of first appearance.
     """
-    n = len(columns[0])
-    if n == 1:
-        return np.zeros(1, dtype=np.int64), [0]
-    order = np.lexsort(columns)  # stable: a run starts at its first point
-    keys = np.stack(columns)[:, order]
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=starts[1:])
-    first = order[starts]
-    rank = np.argsort(first)
-    relabel = np.empty(len(first), dtype=np.int64)
-    relabel[rank] = np.arange(len(first))
-    gid = np.empty(n, dtype=np.int64)
-    gid[order] = relabel[np.cumsum(starts) - 1]
-    return gid, first[rank].tolist()
+    rows = list(zip(*columns))
+    number = dict(zip(dict.fromkeys(rows), count()))
+    return list(map(number.__getitem__, rows)), list(number)
 
 
 def _value_key(case, n: int, grid: int, block: int, v: int,
@@ -368,15 +335,15 @@ def _operands(machine, case, op: str) -> tuple:
 
 
 def _missing_values(machine, memo: dict, keys: List[tuple],
-                    groups: List[tuple], names: List[str]) -> dict:
+                    groups: List[tuple]) -> dict:
     """Compute the value of every key *memo* lacks, once per key.
 
-    *keys*, *groups* and *names* run parallel over a slab's value groups:
-    each group's key, ``(case, op, grid, block, v)`` and kernel name.
-    Modular addition is associative (any grouping yields ``sum mod
-    2**bits``), so an integer sum is one ``np.add.reduce``.  Every other
-    key runs the hierarchical executor, grouped by everything its thread
-    level reads: the identifier, T, R, ``n`` and the thread starts.
+    *keys* and *groups* run parallel over a slab's value groups: each
+    group's key and ``(case, op, grid, block, V column)``.  Modular
+    addition is associative (any grouping yields ``sum mod 2**bits``), so
+    an integer sum is one ``np.add.reduce``.  Every other key runs the
+    hierarchical executor, grouped by everything its thread level reads:
+    the identifier, T, R, ``n`` and the thread starts.
     """
     misses: dict = {}
     for i, key in enumerate(keys):
@@ -385,14 +352,15 @@ def _missing_values(machine, memo: dict, keys: List[tuple],
     values: dict = {}
     levels: dict = {}
     for key, i in misses.items():
-        case, op, g, b, v = groups[i]
+        case, op, g, b, v_column = groups[i]
         rtype = case.result_type
         if op == "+" and rtype.is_integer:
             values[key] = rtype.numpy.type(
                 np.add.reduce(machine.workload(case), dtype=rtype.numpy))
             continue
+        v = max(v_column, 1)
         kernel = ReductionKernel(
-            name=names[i],
+            name=_kernel_name(case, op, v_column == 0, v),
             geometry=LaunchGeometry(grid=g, block=b, from_clause=True),
             elements=case.elements,
             elements_per_iteration=v,
@@ -444,62 +412,70 @@ def evaluate_gpu_slab(machine, points: Sequence[tuple]) -> SlabResult:
         "slab.points_per_batch", boundaries=SLAB_POINT_BUCKETS
     ).observe(n)
     if n == 0:
-        empty = np.empty(0, dtype=np.float64)
-        return SlabResult(empty, empty, np.empty(0, dtype=np.int64), [])
+        return SlabResult(np.empty(0), np.empty(0), [], [])
     tables = tables_for(machine)
     cases = points.cases
     columns = points.columns
-    case_idx, teams, v_col, threads, trials, verify, op = columns
+    (case_list, teams_list, v_list, _threads, trials_list, flag_list,
+     op_list) = columns.tolist()
+    teams, trials = columns[1], columns[4]
+    # A kernel is a distinct (case, op, V column); V 0 is the baseline.
+    kernels = list(dict.fromkeys(zip(case_list, op_list, v_list)))
+    pairs = list(dict.fromkeys(zip(case_list, op_list)))
 
-    # -- pass 1: per-case constants, then every check over whole columns.
-    # A case the device cannot hold fits no input array; all its points
-    # fail, so its other constants are never read.
+    # -- pass 1: per-(case, op) constants, then the checks.  A baseline
+    # point's launch and the device capacity checks depend on its case and
+    # op alone.
     capacity = tables.device_capacity_bytes
     int_rows, float_rows = [], []
-    for case in cases:
+    fits, geometric_values = True, False
+    for c, code in pairs:
+        case = cases[c]
         erow = tables.elements[case.element_type.name]
         rrow = tables.results[case.result_type.name]
-        ib, rsize = case.input_bytes, case.result_type.size
-        fits = 2 if 2 * ib + rsize <= capacity else (
-            1 if ib + rsize <= capacity else 0)
-        elements = case.elements if fits else 1
+        # Mirrors kernel.input_bytes: dot streams both operands, so its
+        # memory term and bandwidth numerator count both arrays.
+        input_bytes = case.input_bytes * _OP_ARRAYS[code]
+        fits = fits and input_bytes + case.result_type.size <= capacity
         # A baseline point launches as (teams, V, threads) =
         # (grid, 1, thread_limit).
-        base_grid, base_block = _baseline_launch(machine, tables, elements)
-        int_rows.append((base_grid, 1, base_block, elements, erow.size,
-                         fits, not case.result_type.is_integer))
-        float_rows.append((ib if fits else 0, erow.ceiling_gbs,
-                           erow.elem_issue, erow.iter_fixed,
-                           erow.inflight_scale, rrow.combine_cycles,
-                           rrow.scalar_motion_s))
-    # One row per case; a lone case's rows broadcast over the points.
-    per_case = (np.array(int_rows, dtype=np.int64).T,
+        base_grid, base_block = _baseline_launch(machine, tables,
+                                                 case.elements)
+        # Only an integer sum's value ignores the launch geometry.
+        by_geometry = code != 0 or not case.result_type.is_integer
+        geometric_values = geometric_values or by_geometry
+        int_rows.append((base_grid, 1, base_block, case.elements, erow.size,
+                         by_geometry))
+        float_rows.append((input_bytes, erow.ceiling_gbs, erow.elem_issue,
+                           erow.iter_fixed, erow.inflight_scale,
+                           rrow.combine_cycles, rrow.scalar_motion_s))
+    # One row per pair; a lone pair's rows broadcast over the points.
+    per_pair = (np.array(int_rows, dtype=np.int64).T,
                 np.array(float_rows, dtype=np.float64).T)
-    if len(cases) > 1:
-        per_case = [table.take(case_idx, axis=1) for table in per_case]
-    elements, esize, fits, float_result = per_case[0][3:]
-    (case_bytes, ceiling, elem_issue, iter_fixed, inflight, combine,
-     scalar_motion) = per_case[1]
-    is_base = teams == 0
-    launch_teams, v_arr, requested = np.where(
-        is_base, per_case[0][:3], columns[1:4])
-    arrays = _OP_ARRAYS[op]
-    # A block needs more warps than an SM holds exactly when its thread
-    # count, before the warp round-up, exceeds that many warps' threads.
+    if len(pairs) > 1:
+        index = dict(zip(pairs, count()))
+        pair_idx = np.fromiter(map(index.__getitem__, zip(case_list, op_list)),
+                               dtype=np.int64, count=n)
+        per_pair = [table.take(pair_idx, axis=1) for table in per_pair]
+    elements, esize, geometric = per_pair[0][3:]
+    (input_bytes, ceiling, elem_issue, iter_fixed, inflight, combine,
+     scalar_motion) = per_pair[1]
+    if 0 in teams_list:
+        launch_teams, v_arr, requested = np.where(
+            teams == 0, per_pair[0][:3], columns[1:4])
+    else:
+        launch_teams, v_arr, requested = teams, columns[2], columns[3]
+    # Each check bounds a column or depends on a kernel alone.  A block
+    # needs more warps than an SM holds exactly when its thread count,
+    # before the warp round-up, exceeds that many warps' threads.
     limit = min(tables.max_threads_per_block,
                 tables.max_warps_per_sm * tables.warp_size)
-    failed = (trials <= 0) | (elements % v_arr) | (requested > limit)
-    if min(row[5] for row in int_rows) < 2:
-        failed |= arrays > fits
-    if np.count_nonzero(failed):
+    if (not fits or min(trials_list) <= 0 or max(requested.tolist()) > limit
+            or any(cases[c].elements % v for c, _o, v in kernels if v)):
         _check_payloads(machine, tables, points.payloads())
+    trip = elements // v_arr
     grid = launch_teams // v_arr
     block = requested + -requested % tables.warp_size  # whole warps
-    trip = elements // v_arr
-    # Mirrors kernel.input_bytes: dot streams both operands, so its
-    # memory term and bandwidth numerator count both arrays (doubling a
-    # float64 is exact, so this equals the product taken in Python ints).
-    input_bytes = case_bytes * arrays
     trials_arr = trials.astype(np.float64)
 
     # -- pass 2: the kernel-time model, vectorized.  Each line mirrors
@@ -522,14 +498,15 @@ def evaluate_gpu_slab(machine, points: Sequence[tuple]) -> SlabResult:
 
     # Issue term.
     v_f = v_arr.astype(np.float64)
+    trip_f = trip.astype(np.float64)
     insts_per_iter = tables.loop_overhead + iter_fixed + v_f * elem_issue
-    warp_insts = trip.astype(np.float64) * insts_per_iter / tables.warp_size
+    warp_insts = trip_f * insts_per_iter / tables.warp_size
     issue_time = warp_insts / tables.issue_denom
 
     # Block-latency term.
     chain_per_iter = tables.latency_cycles + v_f * elem_issue
     total_threads = (grid * block).astype(np.float64)
-    avg_iterations = np.maximum(1.0, trip.astype(np.float64) / total_threads)
+    avg_iterations = np.maximum(1.0, trip_f / total_threads)
     block_cycles = (
         tables.block_setup + avg_iterations * chain_per_iter + combine
     )
@@ -549,54 +526,47 @@ def evaluate_gpu_slab(machine, points: Sequence[tuple]) -> SlabResult:
     bandwidth = input_bytes * trials_arr / 1e9 / elapsed
 
     # -- pass 3: launch trace (submission order, like the serial loop).
-    # A kernel's name depends on its case, op and V column (0: baseline).
-    case_list, op_list, v_list = (case_idx.tolist(), op.tolist(),
-                                  v_col.tolist())
-    name_gid, name_first = _groups(case_idx, op, v_col)
-    kernel_names = [
-        _kernel_name(cases[case_list[i]], OP_CODES[op_list[i]],
-                     v_list[i] == 0, max(v_list[i], 1))
-        for i in name_first
-    ]
-    names = [kernel_names[g] for g in name_gid.tolist()]
+    name_of = {
+        (c, o, v): _kernel_name(cases[c], OP_CODES[o], v == 0, max(v, 1))
+        for c, o, v in kernels
+    }
     case_elements = [case.elements for case in cases]
-    grid_list, block_list = grid.tolist(), block.tolist()
     machine.trace.record_launches(list(map(
-        KernelLaunchRecord, repeat(0.0), names, grid_list, block_list,
-        map(case_elements.__getitem__, case_list), (~is_base).tolist(),
-        total.tolist(),
+        KernelLaunchRecord, repeat(0.0),
+        map(name_of.__getitem__, zip(case_list, op_list, v_list)),
+        grid.tolist(), block.tolist(),
+        map(case_elements.__getitem__, case_list),
+        map(bool, teams_list), total.tolist(),
     )))
 
-    # -- pass 4: functional values, once per distinct value.  The memo
-    # holds (value, verified); verification runs once per key, on the
-    # first point that asks for it, and a value is stored only once the
-    # point that computed it has verified it if asked to.
+    # -- pass 4: functional values, once per value group.  A group's
+    # points share case, op, verify flag and, where the value depends on
+    # it, launch geometry, so the groups' first points are every point
+    # where the serial loop touches the memo.  The memo holds (value,
+    # verified); verification runs once per key, on the first point that
+    # asks for it, and a value is stored only once the point that
+    # computed it has verified it if asked to.
     memo = getattr(machine, "_slab_value_cache", None)
     if memo is None:
         memo = machine._slab_value_cache = {}
     strict = machine.config.strict_verify
-    asked = (verify != 0) if strict else (verify > 0)
-    shape = (grid, block, v_arr)
-    if n > 1:  # (one point is one group)
-        # An integer sum's value ignores the geometry: group it by case.
-        geometric = (op + float_result) > 0
-        shape = tuple(column * geometric for column in shape)
-    # Splitting each value's points by whether they ask for verification
-    # makes the groups' first points every point where the serial loop
-    # touches the memo: a key's first point and its first asking point.
-    gid, first = _groups(case_idx, op, *shape, asked)
-    groups = [(cases[case_list[i]], OP_CODES[op_list[i]], grid_list[i],
-               block_list[i], max(v_list[i], 1)) for i in first]
+    if geometric_values:
+        shape = [(column * geometric).tolist()
+                 for column in (grid, block, columns[2])]
+    else:  # no value here depends on the launch geometry
+        shape = [repeat(0)] * 3
+    gid, rows = _groups(case_list, op_list, flag_list, *shape)
+    groups = [(cases[c], OP_CODES[o], g, b, v)
+              for c, o, _flag, g, b, v in rows]
     keys = [
-        _value_key(case, machine.functional_elements(case), g, b, v, o)
+        _value_key(case, machine.functional_elements(case), g, b, max(v, 1),
+                   o)
         for case, o, g, b, v in groups
     ]
-    fresh = _missing_values(machine, memo, keys, groups,
-                            [names[i] for i in first])
-    flags = verify.tolist()
+    fresh = _missing_values(machine, memo, keys, groups)
     values: Dict[tuple, Any] = {}
-    for key, i, (case, o, _g, _b, _v) in zip(keys, first, groups):
-        flag = flags[i]
+    for key, (case, o, *_geometry), (_c, _o, flag, *_shape) in zip(
+            keys, groups, rows):
         ask = strict if flag < 0 else flag > 0
         hit = memo.get(key)
         if key not in values:
@@ -608,5 +578,4 @@ def evaluate_gpu_slab(machine, points: Sequence[tuple]) -> SlabResult:
             verify_result(values[key], data, case.result_type, o, second)
         memo[key] = (values[key], ask)
     items = {key: value.item() for key, value in values.items()}
-    return SlabResult(bandwidth, elapsed, gid,
-                      [items[key] for key in keys])
+    return SlabResult(bandwidth, elapsed, gid, [items[key] for key in keys])

@@ -10,9 +10,9 @@ make the paper's profiling claims executable.
 The trace also keeps its own whole-run totals (launches by kernel, bytes
 migrated by reason, ...), whatever the telemetry switch says;
 :func:`repro.telemetry.publish_counts` publishes them as ``sim.*``
-metrics at export time.  The slab evaluator records a whole slab's
-launches with one :meth:`Trace.record_launches` call, which leaves the
-trace exactly as one :meth:`Trace.record_launch` per launch would.
+metrics at export time.  Launches are recorded by
+:meth:`Trace.record_launches`, a whole slab's at once under one lock;
+:meth:`Trace.record_launch` is that call for one launch.
 """
 
 from __future__ import annotations
@@ -114,15 +114,12 @@ class Trace:
 
     # -- recording ----------------------------------------------------------
     def record_launch(self, record: KernelLaunchRecord) -> None:
-        self.kernel_launches.append(record)
-        self._evict(self.kernel_launches)
-        with self._lock:
-            _add(self.launches_by_kernel, record.name, 1)
-            self.kernel_seconds += record.duration
+        self.record_launches((record,))
 
     def record_launches(self, records: Sequence[KernelLaunchRecord]) -> None:
-        """Record *records* in order, as one :meth:`record_launch` each
-        would: the same retained tail, counts and ``kernel_seconds`` bits.
+        """Record *records* in order: the retained tail is what appending
+        them one at a time, evicting after each, would leave, and
+        ``kernel_seconds`` adds their durations in launch order.
         """
         if not records:
             return

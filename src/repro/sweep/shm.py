@@ -70,7 +70,7 @@ _RESPONSE_COLUMNS = (
     ("elapsed_seconds", np.float64),
     ("value_int", np.int64),
     ("value_float", np.float64),
-    ("value_is_float", np.int64),
+    ("value_is_float", np.float64),  # 1.0 or 0.0
 )
 
 
@@ -273,8 +273,18 @@ def pack_gpu_slab_response(request_name: str, result: Any) -> Dict[str, Any]:
     columns = np.empty((len(_RESPONSE_COLUMNS), n), dtype=np.float64)
     columns[0] = result.bandwidth
     columns[1] = result.elapsed
-    value_int, columns[3], columns[4] = result.value_columns()
-    columns[2].view(np.int64)[:] = value_int
+    # Each value group's value goes to the int64 or the float64 column,
+    # with 0 in the other, then spreads to its points.
+    values = result.values
+    is_float = [type(value) is float for value in values]
+    group = np.asarray(result.group, dtype=np.intp)
+    columns[2].view(np.int64)[:] = np.array(
+        [0 if flag else value for value, flag in zip(values, is_float)],
+        dtype=np.int64)[group]
+    columns[3] = np.array(
+        [value if flag else 0.0 for value, flag in zip(values, is_float)],
+        dtype=np.float64)[group]
+    columns[4] = np.array(is_float, dtype=np.float64)[group]
     nbytes = columns.nbytes
     segment = create_segment(
         nbytes, name=response_name(request_name), owner=False
@@ -300,8 +310,6 @@ def unpack_gpu_slab_response(header: Dict[str, Any]) -> List[dict]:
         If the segment is missing or its bytes do not match the digest
         (detected corruption — the caller recomputes, never collates).
     """
-    from ..sim.batch import SlabResult
-
     n = int(header["n"])
     segment = attach_segment(header["shm"])
     try:
@@ -316,8 +324,11 @@ def unpack_gpu_slab_response(header: Dict[str, Any]) -> List[dict]:
         ).copy()
     finally:
         segment.close()
-    is_float = columns[4] != 0
-    values = columns[2].view(np.int64).astype(object)
-    values[is_float] = columns[3][is_float].astype(object)
-    return SlabResult(columns[0], columns[1], np.arange(n),
-                      values.tolist()).records()
+    bandwidth, elapsed, _, value_float, is_float = columns.tolist()
+    return [
+        {"bandwidth_gbs": b, "elapsed_seconds": e,
+         "value": f if flag else i}
+        for b, e, i, f, flag in zip(bandwidth, elapsed,
+                                    columns[2].view(np.int64).tolist(),
+                                    value_float, is_float)
+    ]

@@ -203,13 +203,14 @@ def _slab_payloads(count: int) -> List[tuple]:
 
 
 def _bench_slab_microbench(machine: Machine, repeats: int) -> Dict[str, Any]:
-    """Amortized per-point cost of one whole-slab evaluation (>= 1024)."""
+    """Amortized per-point cost of one whole-slab evaluation (>= 1024),
+    records included, as the serial executor pays it."""
     from ..sim.batch import evaluate_gpu_slab
 
     payloads = _slab_payloads(1024)
 
     def once() -> None:
-        evaluate_gpu_slab(machine, payloads)
+        evaluate_gpu_slab(machine, payloads).records()
 
     once()  # warm compile/workload/value caches out of the timed region
     seconds = _best(once, repeats)

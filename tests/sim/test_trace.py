@@ -120,19 +120,24 @@ class TestRecordLaunches:
             max_size=5 * retention,
         )
         before, batch = data.draw(launches), data.draw(launches)
-        one_by_one, bulk = Trace(retention), Trace(retention)
+        trace = Trace(retention)
         for record in before:
-            one_by_one.record_launch(record)
-            bulk.record_launch(record)
-        for record in batch:
-            one_by_one.record_launch(record)
-        bulk.record_launches(batch)
-        assert bulk.kernel_launches == one_by_one.kernel_launches
-        assert list(bulk.launches_by_kernel.items()) == \
-            list(one_by_one.launches_by_kernel.items())
-        assert bulk.n_launches == one_by_one.n_launches
-        assert struct.pack("<d", bulk.kernel_seconds) == \
-            struct.pack("<d", one_by_one.kernel_seconds)
+            trace.record_launch(record)
+        trace.record_launches(batch)
+        # One at a time: append, drop the oldest half whenever the list
+        # reaches twice the retention, count, and add the duration.
+        kept, counts, seconds = [], {}, 0.0
+        for record in before + batch:
+            kept.append(record)
+            if len(kept) >= 2 * retention:
+                del kept[: len(kept) - retention]
+            counts[record.name] = counts.get(record.name, 0) + 1
+            seconds += record.duration
+        assert trace.kernel_launches == kept
+        assert list(trace.launches_by_kernel.items()) == list(counts.items())
+        assert trace.n_launches == len(before) + len(batch)
+        assert struct.pack("<d", trace.kernel_seconds) == \
+            struct.pack("<d", seconds)
 
     def test_launch_record_is_immutable_and_hashable(self):
         record = _launch()

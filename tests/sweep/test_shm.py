@@ -58,7 +58,7 @@ def _result(records):
     return SlabResult(
         np.array([r["bandwidth_gbs"] for r in records], dtype=np.float64),
         np.array([r["elapsed_seconds"] for r in records], dtype=np.float64),
-        np.arange(len(records)),
+        list(range(len(records))),
         [r["value"] for r in records],
     )
 
