@@ -1,4 +1,4 @@
-"""Zero-copy slab transport over ``multiprocessing.shared_memory``.
+"""Zero-copy slab transport over POSIX shared memory.
 
 The pickle path serializes every sweep point's payload and result dict
 through the worker pipe.  For slab dispatch the executor instead copies
@@ -11,6 +11,13 @@ evaluator, then copies the :class:`~repro.sim.batch.SlabResult` columns
 into a second segment.  Neither side builds a per-point object; the
 coordinator makes the record dicts once, when it collates the response.
 
+A :class:`Segment` maps ``/dev/shm/<name>`` with the calls
+``multiprocessing.shared_memory.SharedMemory`` makes (``shm_open``,
+``ftruncate``, ``mmap``), but it registers with no resource tracker:
+the stdlib class messages a tracker interpreter on every create, attach
+and unlink, starting one in each process that has none to inherit, and
+a tracker would reap segments another process still has to read.
+
 Leak discipline — the classic failure mode of this transport is a stale
 ``/dev/shm`` segment surviving a crash:
 
@@ -21,12 +28,13 @@ Leak discipline — the classic failure mode of this transport is a stale
 * every coordinator-created segment is recorded in a module registry
   with an ``atexit`` sweep, so ``KeyboardInterrupt`` and plain process
   exit also clean up;
-* workers create response segments **untracked** (and unlink any
-  leftover of the same name first, which self-heals a previous attempt's
-  crash): a worker's ``resource_tracker`` must never reap a segment the
-  coordinator has not collated yet, and on Python < 3.13 (no
-  ``track=False``) attaching registers the segment with the tracker, so
-  both attach and worker-side create explicitly unregister.
+* workers create response segments unregistered, and unlink any
+  leftover of the same name first, which self-heals a previous
+  attempt's crash.
+
+A coordinator killed by a signal it does not handle (SIGKILL, say)
+skips its ``atexit`` sweep and leaves its segments behind; no other
+process unlinks them.
 
 Integrity: both directions carry a SHA-256 of the exact buffer bytes in
 the pickled header.  The header itself is covered by the supervisor's
@@ -38,17 +46,24 @@ from __future__ import annotations
 
 import atexit
 import hashlib
+import mmap
 import secrets
 import os
 import threading
-from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+try:
+    import _posixshmem
+except ImportError:  # pragma: no cover - no POSIX shared memory
+    # Every segment call then raises, and the executor prices serially.
+    _posixshmem = None
+
 __all__ = [
     "SEGMENT_PREFIX",
     "TransportError",
+    "Segment",
     "create_segment",
     "attach_segment",
     "unlink_if_exists",
@@ -81,24 +96,44 @@ class TransportError(RuntimeError):
 # -- segment lifetime ------------------------------------------------------
 
 _REGISTRY_LOCK = threading.Lock()
-_OWNED: Dict[str, Optional[shared_memory.SharedMemory]] = {}
+_OWNED: Dict[str, Optional[Segment]] = {}
 
 
-def _untrack(segment: shared_memory.SharedMemory) -> None:
-    """Detach *segment* from this process's resource tracker.
+class Segment:
+    """A POSIX shared-memory segment, mapped read-write.
 
-    On Python < 3.13 there is no ``track=False`` and ``SharedMemory``
-    registers with the tracker on both create *and* attach; a tracker
-    unlinks everything it still knows about when its process dies —
-    exactly wrong for segments another process owns or has yet to read.
-    This module manages segment lifetime itself (registry + derived
-    names + ``atexit``), so every create/attach is unregistered, except
-    where ``unlink()`` itself sends the unregister.
+    ``size > 0`` creates ``/dev/shm/<name>`` (exclusively, mode 0600);
+    ``size == 0`` attaches to an existing one.  ``buf`` is the mapping's
+    memoryview; :meth:`close` unmaps it and leaves the segment in place.
     """
-    try:
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
+
+    def __init__(self, name: str, size: int = 0) -> None:
+        path = "/" + name
+        create = size > 0
+        flags = os.O_CREAT | os.O_EXCL | os.O_RDWR if create else os.O_RDWR
+        fd = _posixshmem.shm_open(path, flags, mode=0o600)
+        try:
+            if create:
+                os.ftruncate(fd, size)
+            else:
+                size = os.fstat(fd).st_size
+            self._mmap = mmap.mmap(fd, size)
+        except BaseException:
+            if create:
+                _posixshmem.shm_unlink(path)
+            raise
+        finally:
+            os.close(fd)  # the mapping keeps its own descriptor
+        self.name = name
+        self.size = size
+        self.buf: Optional[memoryview] = memoryview(self._mmap)
+
+    def close(self) -> None:
+        """Unmap the segment; idempotent."""
+        if self.buf is not None:
+            self.buf.release()
+            self.buf = None
+            self._mmap.close()
 
 
 def _fresh_name() -> str:
@@ -107,10 +142,10 @@ def _fresh_name() -> str:
 
 def create_segment(
     nbytes: int, name: Optional[str] = None, owner: bool = True
-) -> shared_memory.SharedMemory:
+) -> Segment:
     """Create a segment; ``owner=True`` records it for the atexit sweep.
 
-    ``owner=False`` is the worker side: the segment is untracked (the
+    ``owner=False`` is the worker side: the segment is not recorded (the
     coordinator unlinks it by derived name) and any leftover of the same
     name from a crashed previous attempt is unlinked first.
     """
@@ -118,44 +153,29 @@ def create_segment(
         name = _fresh_name()
     elif not owner:
         unlink_if_exists(name)
-    segment = shared_memory.SharedMemory(
-        name=name, create=True, size=max(1, nbytes)
-    )
-    _untrack(segment)
+    segment = Segment(name, max(1, nbytes))
     if owner:
         with _REGISTRY_LOCK:
-            _OWNED[segment.name] = segment
+            _OWNED[name] = segment
     return segment
 
 
-def attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without tracker ownership."""
+def attach_segment(name: str) -> Segment:
+    """Map an existing segment; a missing one is a :class:`TransportError`."""
     try:
-        segment = shared_memory.SharedMemory(name=name)
+        return Segment(name)
     except FileNotFoundError:
         raise TransportError(
             f"shared-memory segment {name!r} does not exist "
             "(worker died before writing, or it was reaped)"
         ) from None
-    _untrack(segment)
-    return segment
 
 
 def unlink_if_exists(name: str) -> bool:
-    """Unlink segment *name* if present; returns whether it existed.
-
-    The attach registers with the resource tracker and ``unlink()``
-    unregisters, so the pair balances; no manual untrack here.
-    """
+    """Unlink segment *name* if present; returns whether it existed."""
     try:
-        segment = shared_memory.SharedMemory(name=name)
+        _posixshmem.shm_unlink("/" + name)
     except FileNotFoundError:
-        return False
-    try:
-        segment.close()
-        segment.unlink()
-    except FileNotFoundError:  # pragma: no cover - lost a race
-        _untrack(segment)
         return False
     return True
 
@@ -266,8 +286,8 @@ def pack_gpu_slab_response(request_name: str, result: Any) -> Dict[str, Any]:
     response segment (worker side).
 
     The worker does not own the segment's lifetime — the coordinator
-    unlinks it by derived name — so it is created untracked, healing any
-    leftover from a crashed previous attempt of the same task.
+    unlinks it by derived name — so it is created unregistered, healing
+    any leftover from a crashed previous attempt of the same task.
     """
     n = len(result)
     columns = np.empty((len(_RESPONSE_COLUMNS), n), dtype=np.float64)

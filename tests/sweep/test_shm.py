@@ -6,8 +6,15 @@ mid-chunk, not when injected corruption forces a recompute.  Leak tests
 scan ``/dev/shm`` for the module's name prefix directly.
 """
 
+import errno
 import glob
+import json
+import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +28,8 @@ from repro.sim.batch import SlabResult
 from repro.sweep import SweepExecutor, shm
 from repro.sweep.fingerprint import canonical_json
 from repro.verify.oracles import scalar_gpu_records
+
+_REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="needs a POSIX /dev/shm"
@@ -307,3 +316,109 @@ class TestLeakRegression:
             canonical_json(r) for r in self._serial_records(machine)
         ]
         assert _leftovers() - before == set()
+
+
+class TestNoResourceTracker:
+    # A subprocess, so no earlier test in this one has started a tracker
+    # already; the forked pool workers inherit the patched method.
+    SCRIPT = textwrap.dedent("""
+        import json, os, sys
+        from multiprocessing import resource_tracker
+
+        log = sys.argv[1]
+        ensure_running = resource_tracker.ResourceTracker.ensure_running
+
+        def logged(self):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\\n")
+            return ensure_running(self)
+
+        resource_tracker.ResourceTracker.ensure_running = logged
+
+        from repro import Machine, ReproConfig
+        from repro.core.cases import C1
+        from repro.core.optimized import KernelConfig
+        from repro.sweep import SweepExecutor
+        from repro.sweep.fingerprint import canonical_json
+
+        configs = [None, KernelConfig(teams=1024, v=4),
+                   KernelConfig(teams=1 << 14, v=8, threads=128)]
+
+        def run(workers):
+            machine = Machine(
+                config=ReproConfig(functional_elements_cap=1 << 14))
+            executor = SweepExecutor(machine, workers=workers)
+            try:
+                records = executor.gpu_points(
+                    C1, configs, trials=5, verify=False)
+            finally:
+                executor.close()
+            return canonical_json(records), executor.stats.mode
+
+        pooled, mode = run(2)
+        serial, _ = run(1)
+        print(json.dumps({"mode": mode, "same": pooled == serial}))
+    """)
+
+    def test_pooled_run_starts_no_resource_tracker(self, tmp_path):
+        log = tmp_path / "ensure_running.log"
+        log.write_text("")
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = (
+            str(_REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        ).rstrip(os.pathsep)
+        before = _leftovers()
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(log)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report == {"mode": "processes(2)", "same": True}
+        assert log.read_text() == "", "a process started a resource tracker"
+        assert _leftovers() - before == set()
+
+
+class TestPoolUnavailableFallback:
+    def test_full_dev_shm_prices_serially_and_leaks_nothing(
+        self, machine, monkeypatch
+    ):
+        # The first request segment is made, the second finds /dev/shm
+        # full: the executor must release the first, close its pool and
+        # price every point serially.
+        real = shm.create_segment
+        made = []
+
+        def full_after_one(nbytes, name=None, owner=True):
+            if made:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            segment = real(nbytes, name, owner)
+            made.append(segment.name)
+            return segment
+
+        monkeypatch.setattr(shm, "create_segment", full_after_one)
+        configs = TestLeakRegression.CONFIGS
+        before = _leftovers()
+        children = set(multiprocessing.active_children())
+        executor = SweepExecutor(machine, workers=2)
+        try:
+            records = executor.gpu_points(C1, configs, trials=5,
+                                          verify=False)
+        finally:
+            mode = executor.stats.mode
+            pool = executor._pool
+            executor.close()
+        assert made, "no request segment was made before the failure"
+        assert mode == "serial (pool unavailable)"
+        assert pool is None
+        assert set(multiprocessing.active_children()) <= children
+        assert [canonical_json(r) for r in records] == [
+            canonical_json(r)
+            for r in TestLeakRegression()._serial_records(machine)
+        ]
+        assert _leftovers() - before == set()
+        assert not any(
+            name.startswith(shm.SEGMENT_PREFIX)
+            for name in shm.owned_segments()
+        )
