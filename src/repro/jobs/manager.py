@@ -11,11 +11,12 @@ furthest state this process can reach::
 
 ``CHECKPOINTED`` is the durable between-intervals state: it is what a
 killed job's directory reads on restart, and what resume starts from.
-Every checkpoint first flushes the result store, then atomically writes
-``checkpoint.json`` + the working manifest, so the on-disk invariant
-(durable shards >= checkpoint claim) holds at every instant.  Resume
-never trusts its own bookkeeping: the store re-validates each durable
-line against the spec's canonical per-point digest sequence
+Every checkpoint first flushes the result store, then rewrites
+``checkpoint.json`` in place (one ``pwrite`` under a checksum) and, when
+the shard list changes, atomically the working manifest, so the on-disk
+invariant (durable shards >= checkpoint claim) holds at every instant.
+Resume never trusts its own bookkeeping: the store re-validates each
+durable line against the spec's canonical per-point digest sequence
 (:func:`repro.verify.fuzzer.case_digest`) and continues from exactly
 the first missing point — which is what makes an interrupted-and-resumed
 run byte-identical to an uninterrupted one (the
@@ -230,8 +231,9 @@ def run_job(
             # records lifecycle transitions (readers recover progress
             # from the checkpoint), so it is rewritten on the first
             # checkpoint and on non-CHECKPOINTED states.  Keeping the
-            # steady-state interval to one atomic write is what holds
-            # the durability tax under the perf gate's 5% budget.
+            # steady-state interval to one in-place checkpoint rewrite,
+            # which creates no file, is what holds the durability tax
+            # under the perf gate's budget.
             shards = len(store.shard_names())
             if shards != manifest_shards or state != "CHECKPOINTED":
                 store.write_manifest(

@@ -66,9 +66,10 @@ def atomic_write_json(
     machine-crash durability (process crashes never tear a rename).
     The temp name is a fixed ``.tmp`` sibling rather than ``mkstemp``:
     a job directory has exactly one writer, and the fixed name roughly
-    halves the syscall cost of the per-interval checkpoint/state
-    rewrites on the job hot path.  A crash-orphaned ``.tmp`` is never
-    read and is simply overwritten by the next write.
+    halves the syscall cost of the manifest and state rewrites (the
+    per-interval checkpoint is rewritten in place instead, by
+    :func:`repro.jobs.checkpoint.write_checkpoint`).  A crash-orphaned
+    ``.tmp`` is never read and is simply overwritten by the next write.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -103,9 +104,33 @@ def read_json(path: "Path | str") -> Optional[Any]:
         return None
 
 
+#: canonical_json of a ``gpu_point`` job line, by the type of its value:
+#: floats render as quoted ``repr`` strings (which never need escaping),
+#: an int bare.
+_JOB_LINES = {
+    int: '{"d":"%s","i":%d,"r":{"bandwidth_gbs":"%r",'
+         '"elapsed_seconds":"%r","value":%d}}\n',
+    float: '{"d":"%s","i":%d,"r":{"bandwidth_gbs":"%r",'
+           '"elapsed_seconds":"%r","value":"%r"}}\n',
+}
+
+
 def _encode_line(index: int, digest: str, record: dict) -> bytes:
     # The bytes of canonical_json({"d": digest, "i": index, "r": record}),
-    # without walking the envelope: only the record needs canonicalizing.
+    # without walking the envelope.  The record every job point writes is
+    # formatted from a template; exact type checks keep a bool, a NumPy
+    # scalar or an escaped digest on the canonical_json walk.
+    if (len(record) == 3 and type(digest) is str and digest.isascii()
+            and digest.isalnum()):
+        value = record.get("value")
+        template = _JOB_LINES.get(type(value))
+        bandwidth = record.get("bandwidth_gbs")
+        elapsed = record.get("elapsed_seconds")
+        if (template is not None and type(bandwidth) is float
+                and type(elapsed) is float):
+            return (template % (
+                digest, index, bandwidth, elapsed, value
+            )).encode()
     return ('{"d":%s,"i":%d,"r":%s}\n' % (
         json.dumps(digest), index, canonical_json(record)
     )).encode("utf-8")

@@ -23,8 +23,8 @@ microbenchmarks):
   time from interleaved off/on rounds: one code path both ways, so the
   cost of the spans is gated;
 * ``stream_write`` — amortized per-record cost of the jobs result
-  store's append path (:mod:`repro.jobs.store`): canonical-JSON encode,
-  sequential-shard append, rotation;
+  store's append path (:mod:`repro.jobs.store`) for a ``gpu_point``
+  job's record: the line template, sequential-shard append, rotation;
 * ``checkpoint_overhead`` — a warm-cache streamed sweep through
   :meth:`~repro.sweep.executor.SweepExecutor.run_streaming` with
   checkpointing *on* (store flush + checkpoint + manifest every
@@ -338,13 +338,16 @@ def _bench_checkpoint_overhead(
     the checkpointed one additionally performs
     :func:`repro.jobs.run_job`'s per-interval work at the JobSpec
     defaults (interval 1024, shard_records 8192): store flush plus an
-    atomic checkpoint rewrite every interval, and the manifest/state
+    in-place checkpoint rewrite every interval, and the manifest/state
     rewrites on shard rotation / the first checkpoint, exactly as
     ``run_job``'s steady state does.
 
-    The checkpoint cost is well under a millisecond per interval
-    against ~16 ms of warm-cache point work — smaller than the run-to-
-    run variance of a ~60 ms streamed run on a shared machine — so
+    A steady-state interval's checkpoint (the flush and the in-place
+    rewrite) costs a few tenths of a millisecond and the first one a
+    few milliseconds, since it creates the checkpoint, manifest and
+    state files, against a streamed run of a few tens of milliseconds
+    (5–10 ms of warm-cache point work per interval) — smaller than the
+    run-to-run variance of that run on a shared machine — so
     ``overhead_ratio`` is computed from the checkpoint callbacks timed
     *inside* the best checkpointed run (numerator and denominator from
     the same run, so run-to-run noise cancels) rather than from the

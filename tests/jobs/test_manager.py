@@ -1,5 +1,6 @@
 """Job lifecycle: run_job's state machine and the async JobManager."""
 
+import json
 import threading
 
 import pytest
@@ -15,6 +16,7 @@ from repro.jobs import (
     run_job,
     write_checkpoint,
 )
+from repro.jobs.checkpoint import CHECKPOINT_BYTES
 from repro.jobs.store import ResultStore, read_json
 from repro.sweep.executor import SweepExecutor
 
@@ -82,6 +84,22 @@ class TestRunJob:
         assert resumed["state"] == "DONE"
         assert _job_bytes(tmp_path / "resumed") == \
             _job_bytes(tmp_path / "single")
+
+    def test_resume_from_the_older_checkpoint_layout(
+        self, tmp_path, executor
+    ):
+        # A directory paused by code that renamed its checkpoint into
+        # place: no checksum, no padding.
+        run_job(tmp_path / "single", SPEC, executor)
+        run_job(tmp_path / "resumed", SPEC, executor, max_points=5)
+        path = tmp_path / "resumed" / "checkpoint.json"
+        doc = read_checkpoint(tmp_path / "resumed")
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        resumed = run_job(tmp_path / "resumed", SPEC, executor)
+        assert resumed["state"] == "DONE"
+        assert _job_bytes(tmp_path / "resumed") == \
+            _job_bytes(tmp_path / "single")
+        assert path.stat().st_size == CHECKPOINT_BYTES
 
     def test_cancel_event_stops_at_checkpoint(self, tmp_path, executor):
         event = threading.Event()

@@ -2,15 +2,29 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import SpecError
+from repro.jobs import store as store_module
 from repro.jobs.store import ResultStore, _encode_line, read_json
 from repro.sweep.fingerprint import canonical_json
 
 
 def _digests(n):
     return [f"{i:016x}" for i in range(n)]
+
+
+def _job_record(bandwidth=123.456, elapsed=1.234e-3, value=-135550):
+    return {"bandwidth_gbs": bandwidth, "elapsed_seconds": elapsed,
+            "value": value}
+
+
+def _reference_line(index, digest, record):
+    # The whole {"d", "i", "r"} document canonicalized.
+    return (canonical_json({"d": digest, "i": index, "r": record})
+            + "\n").encode("utf-8")
 
 
 def _fill(store, n, record=None):
@@ -61,16 +75,60 @@ class TestAppend:
         {"big": 2 ** 70, "neg": -(2 ** 63) - 1, "small": -7, "flag": True,
          "none": None, "list": [1, -2.5, "x"], "text": 'q"\\\u00e9'},
         {},
+        # The record a gpu_point job writes, and its near misses.
+        _job_record(value=-135550),
+        _job_record(value=0.1),
+        _job_record(bandwidth=float("nan"), elapsed=float("inf")),
+        _job_record(bandwidth=float("-inf"), elapsed=-0.0),
+        _job_record(bandwidth=5e-324, elapsed=1e308),
+        _job_record(value=2 ** 70),
+        _job_record(value=True),
+        _job_record(elapsed=np.float64(1.234e-3)),
+        _job_record(bandwidth="123.456", elapsed="nan", value="2.0"),
     ])
     @pytest.mark.parametrize("index", [0, 9, 2 ** 40])
     def test_envelope_bytes_equal_canonical_json(self, record, index):
-        # The reference: the whole {"d", "i", "r"} document canonicalized.
-        for digest in ("0123456789abcdef", 'odd"digest'):
-            expected = canonical_json(
-                {"d": digest, "i": index, "r": record}
-            ) + "\n"
+        for digest in ("0123456789abcdef", 'odd"digest', "d\u00e9"):
             assert _encode_line(index, digest, record) == \
-                expected.encode("utf-8")
+                _reference_line(index, digest, record)
+
+    @given(
+        index=st.integers(min_value=0),
+        digest=st.one_of(
+            st.text(alphabet="0123456789abcdef", min_size=1), st.text()
+        ),
+        bandwidth=st.floats(allow_nan=True, allow_infinity=True),
+        elapsed=st.floats(allow_nan=True, allow_infinity=True),
+        value=st.one_of(
+            st.integers(), st.floats(allow_nan=True, allow_infinity=True)
+        ),
+    )
+    def test_job_record_bytes_equal_canonical_json(
+        self, index, digest, bandwidth, elapsed, value
+    ):
+        record = _job_record(bandwidth, elapsed, value)
+        assert _encode_line(index, digest, record) == \
+            _reference_line(index, digest, record)
+
+    def test_job_records_skip_the_canonical_walk(
+        self, tmp_path, monkeypatch
+    ):
+        records = [_job_record(value=-135550), _job_record(value=2.5)]
+        expected = b"".join(
+            _reference_line(i, "0123456789abcdef", record)
+            for i, record in enumerate(records)
+        )
+
+        def walk(obj):
+            raise AssertionError("a job record took the canonical_json walk")
+
+        monkeypatch.setattr(store_module, "canonical_json", walk)
+        store = ResultStore(tmp_path, shard_records=4)
+        for i, record in enumerate(records):
+            store.append(i, "0123456789abcdef", record)
+        store.close()
+        assert (tmp_path / "shards" / "shard-00000.jsonl").read_bytes() == \
+            expected
 
     def test_iter_records_preserves_order(self, tmp_path):
         store = ResultStore(tmp_path, shard_records=2)

@@ -53,7 +53,7 @@ class TestSuite:
         assert entry["per_record_s"] == pytest.approx(
             entry["seconds"] / entry["records"]
         )
-        # Append is a canonical-JSON encode + buffered write; it must
+        # Append is a line template + buffered write; it must
         # stay far below the cost of resolving a point.
         assert entry["per_record_s"] < 1e-3
 
