@@ -1,9 +1,10 @@
 """Microbenchmarks of the sweep executor itself (not a paper artifact).
 
 Times the three executor modes on one Figure-1-style sweep — cold serial,
-cold parallel pool, and warm persistent cache — and checks the contract
-that makes the speed safe: every mode returns bit-identical records, and
-the warm run serves every point from cache.
+cold pool (under a task deadline, one point per task), and warm
+persistent cache — and checks the contract that makes the speed safe:
+every mode returns bit-identical records, and the warm run serves every
+point from cache.
 
 No parallel-speedup assertion is made (CI runners may expose one core);
 the cache assertions are the load-bearing ones.  Run with ``-s`` to see
@@ -21,6 +22,7 @@ from repro.core.cases import C1
 from repro.core.optimized import KernelConfig
 from repro.core.tuning import TEAMS_GRID, V_GRID
 from repro.sweep import ResultCache, SweepExecutor
+from repro.telemetry.state import metrics
 from repro.util.tables import AsciiTable
 
 TRIALS = 20
@@ -33,6 +35,10 @@ CONFIGS = [
 ]
 
 _timings: dict = {}
+
+
+def _pickled_bytes():
+    return metrics().value("sweep.payload_bytes", transport="pickle") or 0
 
 
 @pytest.fixture(scope="module")
@@ -62,13 +68,22 @@ def test_serial_sweep(benchmark, machine, serial_records):
 
 
 def test_parallel_sweep_matches_serial(benchmark, machine, serial_records):
+    # Without a deadline a gpu_point stage is priced in-process whatever
+    # the worker count; a deadline sends each point to the pool.
     def sweep():
-        return SweepExecutor(machine, workers=2, cache=None).gpu_points(
-            C1, CONFIGS, trials=TRIALS, verify=False
-        )
+        executor = SweepExecutor(machine, workers=2, cache=None,
+                                 task_timeout_s=60.0)
+        try:
+            return executor.gpu_points(
+                C1, CONFIGS, trials=TRIALS, verify=False
+            )
+        finally:
+            executor.close()
 
+    pickled = _pickled_bytes()
     records = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    _timings["parallel cold (2 workers)"] = benchmark.stats.stats.mean
+    _timings["pool cold (2 workers, deadline)"] = benchmark.stats.stats.mean
+    assert _pickled_bytes() > pickled
     assert records == serial_records
 
 

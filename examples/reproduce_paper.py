@@ -8,8 +8,10 @@ wall time, cache hit/miss counters, points/sec).
 
 Every sweep goes through :class:`repro.sweep.SweepExecutor`:
 
-* ``--workers N`` fans parameter points out over a process pool
-  (default: ``REPRO_SWEEP_WORKERS``, else serial — the seed behaviour);
+* ``--workers N`` sizes the process pool that co-execution sweeps and
+  runs with a task timeout use (default: ``REPRO_SWEEP_WORKERS``, else
+  serial — the seed behaviour); ``gpu_point``s are otherwise priced
+  in-process;
 * results persist in a JSON cache (``--cache-dir``, default
   ``REPRO_CACHE_DIR`` else ``~/.cache/repro-sweep``), so a warm re-run
   skips every already-computed point; ``--no-cache`` disables it.
@@ -57,7 +59,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", default=None,
                         help="sweep pool width (int or 'auto'; default: "
-                             "REPRO_SWEEP_WORKERS, else serial)")
+                             "REPRO_SWEEP_WORKERS, else serial); the pool "
+                             "serves co-execution sweeps and runs with a "
+                             "task timeout, and gpu_points are otherwise "
+                             "priced in-process")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute every point (disable the result cache)")
     parser.add_argument("--cache-dir", default=None,

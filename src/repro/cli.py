@@ -44,12 +44,14 @@ Commands
     Pretty-print a crash flight-recorder dump produced under
     ``serve --flight-dir``.  See docs/OBSERVABILITY.md.
 
-Sweeps run through the :mod:`repro.sweep` executor: ``--workers N`` fans
-points out over a process pool (default from ``REPRO_SWEEP_WORKERS``,
-else serial), results persist in a JSON cache under ``--cache-dir``
-(default ``REPRO_CACHE_DIR``, else ``~/.cache/repro-sweep``) so re-runs
-skip already-computed points, and ``--no-cache`` bypasses the cache
-entirely.  ``--stats`` prints the executor's per-stage instrumentation.
+Sweeps run through the :mod:`repro.sweep` executor: ``--workers N`` sizes
+the process pool that co-execution sweeps and runs with a task timeout
+use (default from ``REPRO_SWEEP_WORKERS``, else serial; ``gpu_point``s
+are otherwise priced in-process), results persist in a JSON cache under
+``--cache-dir`` (default ``REPRO_CACHE_DIR``, else
+``~/.cache/repro-sweep``) so re-runs skip already-computed points, and
+``--no-cache`` bypasses the cache entirely.  ``--stats`` prints the
+executor's per-stage instrumentation.
 
 Observability: ``--trace-out FILE`` on ``sum``/``sweep``/``table1``/
 ``coexec``/``report`` switches on the :mod:`repro.telemetry` layer and
@@ -161,7 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers", metavar="N", default=None,
         help="sweep executor pool width (int, or 'auto' for one per CPU; "
-             "default: REPRO_SWEEP_WORKERS, else serial)",
+             "default: REPRO_SWEEP_WORKERS, else serial); the pool serves "
+             "co-execution sweeps and runs with a task timeout, and "
+             "gpu_points are otherwise priced in-process",
     )
     parser.add_argument(
         "--task-timeout", metavar="SECONDS", default=None,

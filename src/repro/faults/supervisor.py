@@ -234,10 +234,15 @@ class SupervisedWorkerPool:
         )
         self._beats = self._ctx.Array("d", 2 * workers, lock=False)
         self._generation = 0
-        self._handles: List[_WorkerHandle] = [
-            self._spawn(slot) for slot in range(workers)
-        ]
+        self._handles: List[_WorkerHandle] = []
         self._closed = False
+        try:
+            for slot in range(workers):
+                self._handles.append(self._spawn(slot))
+        except BaseException:
+            # A pool that cannot start stops the workers it did start.
+            self.close()
+            raise
         self.restarts = 0
         # One run at a time: the supervision loop owns the worker
         # handles, so concurrent callers (e.g. a hedged dispatch racing

@@ -10,9 +10,9 @@ summaries back.  The pipeline is
 
 with the scheduler resolving fingerprints against the persistent sweep
 :class:`~repro.sweep.result_cache.ResultCache`, in-flight computations,
-and finally the PR-1 :class:`~repro.sweep.executor.SweepExecutor`
-process pool.  ``loadgen.py`` is the client side: a concurrent load
-generator with latency-percentile reduction.
+and finally the :class:`~repro.sweep.executor.SweepExecutor`.
+``loadgen.py`` is the client side: a concurrent load generator with
+latency-percentile reduction.
 
 Everything is stdlib-only (``asyncio`` + ``json``) and off by default —
 nothing here runs unless ``repro serve`` / ``repro loadtest`` or the

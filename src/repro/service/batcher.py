@@ -10,8 +10,7 @@ classic latency/throughput knob).  Within a batch it
   riders), and
 * **groups** the unique fingerprints by task kind (``gpu_point`` vs
   ``coexec_sweep``) so each dispatched batch is homogeneous — exactly
-  the shape :meth:`~repro.sweep.executor.SweepExecutor.run` fans out
-  over its process pool.
+  the shape :meth:`~repro.sweep.executor.SweepExecutor.run` takes.
 
 Requests whose deadline expired while queued are completed with an
 explicit ``deadline_exceeded`` rejection here, before any compute is

@@ -11,10 +11,10 @@ into resolved responses, in three tiers:
    (``source="cache"``); this is the path that must stay inside the
    service's p99 latency budget, and it is shared with the CLI sweep
    cache, so a ``repro sweep`` run pre-warms the service.
-3. **Compute** — remaining fingerprints go to the PR-1
-   :class:`~repro.sweep.executor.SweepExecutor` (process-pool fan-out)
-   on the one dispatch thread.  A failed dispatch is retried under the
-   shared :class:`~repro.faults.policy.CallPolicy`: ``max_retries``
+3. **Compute** — remaining fingerprints go to the
+   :class:`~repro.sweep.executor.SweepExecutor` on the one dispatch
+   thread.  A failed dispatch is retried under the shared
+   :class:`~repro.faults.policy.CallPolicy`: ``max_retries``
    retries, each after ``min(1 s, retry_backoff_s * 2**(k-1))`` plus
    up to ``retry_jitter_s`` of seeded jitter.  Results are persisted by
    the executor's own write path, so every other tier benefits next

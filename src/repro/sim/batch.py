@@ -52,12 +52,11 @@ the earlier point's error wins even if the serial loop would have
 recorded some launches first — trace contents on *exception* paths may
 differ (successful slabs record identical launch traces, in order).
 
-Fault injection: the executor's worker-side slab task fires the
-``slab.evaluate`` point *around* this function (see
-:func:`repro.sweep.executor._task_gpu_slab`) so crash / hang / slow /
-wrong_result modes interact with the shared-memory transport the way
-``worker.task`` interacts with the pickle transport; the evaluator
-itself stays a pure function.
+Fault injection: under a task deadline the executor prices each point
+as a one-point slab inside a pool worker, where the pool fires its
+``worker.task`` point *around* this function (see
+:mod:`repro.faults.supervisor`); the evaluator itself stays a pure
+function.
 """
 
 from __future__ import annotations
@@ -165,9 +164,6 @@ class SlabPoints:
 
     def __len__(self) -> int:
         return self.columns.shape[1]
-
-    def __getitem__(self, index: slice) -> "SlabPoints":
-        return SlabPoints(self.cases, self.columns[:, index])
 
 
 class SlabResult:

@@ -5,9 +5,10 @@ The paper is a parameter-sweep study: Figures 1a-1d alone cover
 an 11-point CPU-partition grid per case on top.  This package turns the
 sweep driver itself into engineered infrastructure:
 
-* :class:`~repro.sweep.executor.SweepExecutor` — fans sweep points out
-  over a process pool with deterministic collation (``workers=1`` is the
-  exact serial seed path);
+* :class:`~repro.sweep.executor.SweepExecutor` — prices ``gpu_point``
+  stages in-process as one slab, and fans co-execution sweeps (and every
+  point under a task deadline) out over a process pool with
+  deterministic collation (``workers=1`` is the exact serial seed path);
 * :mod:`~repro.sweep.result_cache` — persistent JSON result cache keyed
   by a fingerprint of (machine calibration + config, experiment kind,
   parameter point, trials);

@@ -7,33 +7,34 @@ parameter points through a :class:`SweepExecutor`, which
 1. checks each point against a persistent :class:`~repro.sweep.
    result_cache.ResultCache` (keyed by machine fingerprint + experiment
    kind + parameter point + trials),
-2. fans the misses out over a :class:`~repro.faults.supervisor.
-   SupervisedWorkerPool` (``workers`` from the argument, the
-   ``REPRO_SWEEP_WORKERS`` environment variable, or :attr:`~repro.
-   config.ReproConfig.sweep_workers`; ``workers=1`` with no task
-   timeout preserves the exact serial ordering and results) — the pool
-   heartbeats its workers, restarts crashed or hung ones with bounded
-   re-execution, verifies result checksums, and quarantines poison
-   tasks as explicit failure records; graceful fallback to the serial
-   path when a pool cannot be used — and
+2. prices ``gpu_point`` misses in-process, and fans ``coexec_sweep``
+   misses (every miss, under a task deadline) out over a
+   :class:`~repro.faults.supervisor.SupervisedWorkerPool` (``workers``
+   from the argument, the ``REPRO_SWEEP_WORKERS`` environment variable,
+   or :attr:`~repro.config.ReproConfig.sweep_workers`; ``workers=1``
+   with no task timeout preserves the exact serial ordering and
+   results) — the pool heartbeats its workers, restarts crashed or hung
+   ones with bounded re-execution, verifies result checksums, and
+   quarantines poison tasks as explicit failure records; graceful
+   fallback to the serial path when a pool cannot be used — and
 3. collates results deterministically in submission order, recording
    per-stage wall time and hit/miss/failed counters in :class:`~repro.
    sweep.instrumentation.SweepStats`.  Failure records are counted but
    never cached.
 
 ``gpu_point`` stages are always priced by the batch-vectorized slab
-(:func:`repro.sim.batch.evaluate_gpu_slab`): in-process when serial,
-over shared memory when pooled, where a chunk's points travel as
-:class:`~repro.sim.batch.SlabPoints` columns and come back as
-:class:`~repro.sim.batch.SlabResult` columns; the record dicts are made
-once, when the chunk is collated.  Telemetry only adds spans around it.
+(:func:`repro.sim.batch.evaluate_gpu_slab`), in the process that asks,
+whatever the worker count: pricing a point costs less than shipping it
+to a worker and back.  The pool serves ``coexec_sweep`` stages.
+Telemetry only adds spans around either.
 
 A global per-task timeout (``--task-timeout`` / ``REPRO_SWEEP_TIMEOUT`` /
 :attr:`~repro.config.ReproConfig.sweep_task_timeout_s`) records a
 too-slow point as failed instead of aborting the sweep; setting it
-routes even single-worker runs through the pool, since enforcing a
-deadline requires process isolation, and sends the slab one point per
-task so the deadline stays a per-point contract.
+routes every stage through the pool, even with one worker, since
+enforcing a deadline requires process isolation.  There a ``gpu_point``
+is one task, priced as a one-point slab, so the deadline stays a
+per-point contract.
 
 Worker processes rebuild the machine from a picklable
 :class:`MachineSpec`; because every measurement is a pure function of
@@ -43,7 +44,6 @@ serial ones.
 
 from __future__ import annotations
 
-import functools
 import os
 import pickle
 import time
@@ -95,11 +95,6 @@ TIMEOUT_ENV = "REPRO_SWEEP_TIMEOUT"
 
 #: Bound on the per-executor payload -> cache-key memo.
 _MEMO_KEY_CAP = 65536
-
-#: Ceiling on points per shared-memory slab chunk.  Bounds a worker's
-#: per-task latency so the supervisor's heartbeat hang detection keeps
-#: meaning, and bounds segment size.
-_SLAB_CHUNK_CAP = 65536
 
 #: Default chunk width for :meth:`SweepExecutor.run_streaming` — the
 #: coordinator's peak resident set is O(this), never O(total points).
@@ -239,55 +234,23 @@ def _task_coexec_sweep(machine: Machine, payload: tuple) -> dict:
     }
 
 
-def _task_gpu_slab(machine: Machine, payload: tuple) -> dict:
-    """Evaluate one shared-memory slab chunk (worker side).
-
-    The payload is the tiny pickled request header; points travel in the
-    shared-memory segment it names.  The ``slab.evaluate`` fault point
-    mirrors ``worker.task``'s modes, with ``wrong_result`` corrupting
-    the response *buffer* after its digest is taken — so injected
-    corruption is always detectable at collation, exactly like the
-    supervisor's checksum-then-mangle discipline for pickled records.
-    """
+def _slab_records(machine: Machine, payloads: Sequence[tuple]) -> List[dict]:
+    """Price *payloads* as one slab: the only way a ``gpu_point`` is priced,
+    in-process or inside a pool worker."""
     # Imported lazily: repro.sim.batch reaches repro.sweep through the
     # model tables' fingerprinting, so a module-level import would cycle.
-    from ..faults.injector import fire
     from ..sim.batch import evaluate_gpu_slab
-    from . import shm
 
-    header = payload[0]
-    mangle = False
-    decision = fire("slab.evaluate")
-    if decision is not None:
-        if decision.mode == "crash":
-            os._exit(3)
-        elif decision.mode == "hang":
-            time.sleep(
-                decision.delay_s if decision.delay_s is not None else 3600.0
-            )
-        elif decision.mode == "slow":
-            time.sleep(
-                decision.delay_s if decision.delay_s is not None else 0.05
-            )
-        elif decision.mode == "wrong_result":
-            mangle = True
-    points = shm.unpack_gpu_slab_request(header)
-    with tele_span(
-        "slab.evaluate", category="sweep", points=len(points)
-    ):
-        result = evaluate_gpu_slab(machine, points)
-    response = shm.pack_gpu_slab_response(header["shm"], result)
-    if mangle and response["nbytes"]:
-        segment = shm.attach_segment(response["shm"])
-        try:
-            segment.buf[0] = segment.buf[0] ^ 0xFF
-        finally:
-            segment.close()
-    return response
+    with tele_span("sweep.slab", category="sweep", points=len(payloads)):
+        return evaluate_gpu_slab(machine, payloads).records()
+
+
+def _task_gpu_point(machine: Machine, payload: tuple) -> dict:
+    return _slab_records(machine, [payload])[0]
 
 
 _TASKS = {
-    "gpu_slab": _task_gpu_slab,
+    "gpu_point": _task_gpu_point,
     "coexec_sweep": _task_coexec_sweep,
 }
 
@@ -320,7 +283,8 @@ def _sweep_from_record(request: CoexecRequest, record: dict) -> CoExecSweep:
 
 
 class SweepExecutor:
-    """Runs sweep points for one machine: cache first, then pool, then serial.
+    """Runs sweep points for one machine: cache first, then the in-process
+    slab or the pool, then serial.
 
     Parameters
     ----------
@@ -328,7 +292,9 @@ class SweepExecutor:
         The simulated node measurements run against (worker processes
         rebuild an identical one from its spec).
     workers:
-        Pool width; ``None`` resolves through ``REPRO_SWEEP_WORKERS`` and
+        Pool width for co-execution sweeps and deadline runs (without a
+        deadline, ``gpu_point`` stages are priced in-process whatever
+        it is); ``None`` resolves through ``REPRO_SWEEP_WORKERS`` and
         :attr:`ReproConfig.sweep_workers`, defaulting to 1 (serial, the
         seed behaviour).  ``"auto"`` or any value <= 0 means one worker
         per CPU.
@@ -523,107 +489,32 @@ class SweepExecutor:
         return results  # type: ignore[return-value]
 
     def _compute(self, kind: str, payloads: List[tuple]) -> List[dict]:
-        # gpu_point is always priced by the slab; the pickle pool
-        # serves coexec_sweep only.
-        if kind == "gpu_point":
-            serial = self._compute_slab_serial
-            pooled = self._compute_slab_pool
-        else:
-            serial = functools.partial(self._compute_serial, kind)
-            pooled = functools.partial(self._compute_pool, kind)
+        # Without a deadline a gpu_point stage is one in-process slab;
+        # the pool serves coexec_sweep, and every kind under a deadline.
         if self.task_timeout_s is None and (
-            self.workers == 1 or len(payloads) < 2
+            kind == "gpu_point" or self.workers == 1 or len(payloads) < 2
         ):
-            return serial(payloads)
+            return self._compute_serial(kind, payloads)
         try:
-            return pooled(payloads)
+            return self._compute_pool(kind, payloads)
         except Exception:
             # Pools can be unavailable (pickling limits, sandboxed
-            # platforms, restricted /dev/shm) or exhaust their restart
+            # platforms, no process to fork) or exhaust their restart
             # budget; the serial path is always correct, just slower
             # and without crash isolation.
             self.stats.mode = "serial (pool unavailable)"
             self.close()
-            return serial(payloads)
+            return self._compute_serial(kind, payloads)
 
     def _compute_serial(self, kind: str, payloads: List[tuple]) -> List[dict]:
+        if kind == "gpu_point":
+            return _slab_records(self.machine, payloads)
         task = _TASKS[kind]
         results = []
         for payload in payloads:
             with tele_span("sweep.point", category="sweep", kind=kind):
                 results.append(task(self.machine, payload))
         return results
-
-    def _compute_slab_serial(self, payloads: List[tuple]) -> List[dict]:
-        # Imported lazily: repro.sim.batch reaches repro.sweep through
-        # the model tables' fingerprinting.
-        from ..sim.batch import evaluate_gpu_slab
-
-        with tele_span(
-            "sweep.slab", category="sweep", points=len(payloads)
-        ):
-            return evaluate_gpu_slab(self.machine, payloads).records()
-
-    def _compute_slab_pool(self, payloads: List[tuple]) -> List[dict]:
-        from ..faults.supervisor import failure_record
-        from ..sim.batch import SLAB_POINT_BUCKETS, SlabPoints, \
-            evaluate_gpu_slab
-        from . import shm
-
-        pool = self._ensure_pool()
-        points = SlabPoints.from_payloads(payloads)
-        n = len(points)
-        if self.task_timeout_s is not None:
-            # A deadline is a per-point contract: one point per task, so
-            # a slow point fails alone instead of taking its chunk along.
-            size = 1
-        else:
-            size = max(1, min(_SLAB_CHUNK_CAP, -(-n // self.workers)))
-        chunks = [points[i : i + size] for i in range(0, n, size)]
-        reg = metrics()
-        headers = []
-        try:
-            for chunk in chunks:
-                headers.append(shm.pack_gpu_slab_request(chunk))
-                reg.counter("sweep.payload_bytes", transport="shm").add(
-                    headers[-1]["nbytes"]
-                )
-                reg.histogram(
-                    "slab.points_per_batch", boundaries=SLAB_POINT_BUCKETS
-                ).observe(float(len(chunk)))
-            records, spans = pool.run(
-                "gpu_slab", [(header,) for header in headers]
-            )
-            self._ingest_spans(spans)
-            out: List[dict] = []
-            for chunk, record in zip(chunks, records):
-                if record.get("failed"):
-                    # The chunk is the task unit: a crashed/quarantined
-                    # chunk degrades to explicit per-point failures.
-                    message = record.get("error", "slab task failed")
-                    attempts = record.get("attempts", 1)
-                    out.extend(
-                        failure_record("gpu_point", message, attempts)
-                        for _ in range(len(chunk))
-                    )
-                    continue
-                try:
-                    out.extend(shm.unpack_gpu_slab_response(record))
-                    reg.counter(
-                        "sweep.payload_bytes", transport="shm"
-                    ).add(int(record["nbytes"]))
-                except shm.TransportError:
-                    # Detected corruption (or a reaped segment): never
-                    # collate suspect bytes — recompute the chunk here.
-                    reg.counter("slab.transport_errors").add(1)
-                    out.extend(
-                        evaluate_gpu_slab(self.machine, chunk).records()
-                    )
-            return out
-        finally:
-            for header in headers:
-                shm.release_segment(header["shm"])
-                shm.release_segment(shm.response_name(header["shm"]))
 
     def _ensure_pool(self) -> Any:
         if self._pool is None:

@@ -11,6 +11,15 @@ evaluator, then copies the :class:`~repro.sim.batch.SlabResult` columns
 into a second segment.  Neither side builds a per-point object; the
 coordinator makes the record dicts once, when it collates the response.
 
+Nothing in the program calls this module any more: the executor prices
+``gpu_point`` stages in-process, and under a task deadline one point
+per task through the pickle pool.  It stays, with its own unit tests,
+only because the benchmark harness imports it in every leg
+(``perfbench/launch.py``'s ``LAZY``) and its tracer preloads it and
+wraps four of its functions (``PRELOAD`` and ``TARGETS`` in
+``perfbench/tracing.py``); deleting it would fail every benchmark leg.
+It goes once a benchmark change retires those names.
+
 A :class:`Segment` maps ``/dev/shm/<name>`` with the calls
 ``multiprocessing.shared_memory.SharedMemory`` makes (``shm_open``,
 ``ftruncate``, ``mmap``), but it registers with no resource tracker:

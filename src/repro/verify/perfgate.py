@@ -1,6 +1,6 @@
 """Perf-regression gate: time the hot paths, compare to a baseline.
 
-Ten benchmarks cover the hot paths, each reported as the **best of N
+Nine benchmarks cover the hot paths, each reported as the **best of N
 repeats** (minimum is the standard noise-robust statistic for
 microbenchmarks):
 
@@ -15,9 +15,6 @@ microbenchmarks):
   nearest-rank percentile;
 * ``slab_microbench`` — amortized per-point cost of one batch-vectorized
   slab evaluation (:mod:`repro.sim.batch`) over >= 1024 distinct points;
-* ``pool_transport`` — the shared-memory slab transport roundtrip
-  (:mod:`repro.sweep.shm`): pack, attach, unpack, collate, unlink for a
-  4096-point chunk;
 * ``telemetry_overhead`` — the sim microbench unit of work with the
   telemetry layer *enabled* (span recording on), alongside the disabled
   time from interleaved off/on rounds: one code path both ways, so the
@@ -218,40 +215,6 @@ def _bench_slab_microbench(machine: Machine, repeats: int) -> Dict[str, Any]:
         "seconds": seconds,
         "points": len(payloads),
         "per_point_s": seconds / len(payloads),
-    }
-
-
-def _bench_pool_transport(machine: Machine, repeats: int) -> Dict[str, Any]:
-    """Shared-memory slab transport roundtrip (no pool): copy a 4096-point
-    request's columns in, attach + read them back, copy the result columns
-    into the response, collate its records, and unlink both segments."""
-    from ..sim.batch import SlabPoints, evaluate_gpu_slab
-    from ..sweep import shm
-
-    case = case_by_name("C1")
-    points = SlabPoints.from_payloads([
-        (case, KernelConfig(teams=1 << (4 + i % 12), v=4, threads=256),
-         200, False)
-        for i in range(4096)
-    ])
-    result = evaluate_gpu_slab(machine, points)
-
-    def once() -> None:
-        header = shm.pack_gpu_slab_request(points)
-        try:
-            shm.unpack_gpu_slab_request(header)
-            response = shm.pack_gpu_slab_response(header["shm"], result)
-            shm.unpack_gpu_slab_response(response)
-        finally:
-            shm.release_segment(header["shm"])
-            shm.release_segment(shm.response_name(header["shm"]))
-
-    once()
-    seconds = _best(once, repeats)
-    return {
-        "seconds": seconds,
-        "points": len(points),
-        "per_point_s": seconds / len(points),
     }
 
 
@@ -508,7 +471,6 @@ _BENCHES = {
     "warm_cache_sweep": _bench_warm_cache_sweep,
     "service_p99": _bench_service_p99,
     "slab_microbench": _bench_slab_microbench,
-    "pool_transport": _bench_pool_transport,
     "telemetry_overhead": _bench_telemetry_overhead,
     "stream_write": _bench_stream_write,
     "checkpoint_overhead": _bench_checkpoint_overhead,

@@ -11,6 +11,7 @@ from repro.sweep.executor import (
 )
 from repro.sweep.fingerprint import canonical_json
 from repro.sweep.result_cache import ResultCache
+from repro.telemetry.state import metrics
 from repro.verify.oracles import scalar_gpu_records
 
 from .test_supervisor import _find_seed
@@ -126,11 +127,15 @@ class TestTimeoutSweep:
 
     def test_pool_results_match_serial_at_executor_level(self, machine):
         payloads = _payloads(3)
-        pooled = SweepExecutor(machine, workers=2)
+        pickled = metrics().value("sweep.payload_bytes", transport="pickle")
+        pooled = SweepExecutor(machine, workers=2, task_timeout_s=60.0)
         try:
             parallel = pooled.run("gpu_point", payloads, "sweep")
         finally:
             pooled.close()
+        assert metrics().value(
+            "sweep.payload_bytes", transport="pickle"
+        ) > (pickled or 0)
         serial = SweepExecutor(machine, workers=1).run(
             "gpu_point", payloads, "sweep"
         )

@@ -1,12 +1,12 @@
 """End-to-end distributed tracing, /health, and /metrics negotiation.
 
-The trace topology test is the PR's acceptance criterion: sampled
-requests submitted concurrently coalesce into one micro-batch whose
-compute subtree (dispatch -> stage -> pool worker -> slab evaluation)
-crosses an OS-process boundary, and the whole tree stays connected —
-every hop reachable by parent links, every request linked to its batch
-by a flow edge, and the exported Chrome trace valid under the shipped
-validator.
+The trace topology test: sampled requests submitted concurrently
+coalesce into one micro-batch whose compute subtree (dispatch -> stage
+-> pool worker -> slab) crosses an OS-process boundary — the service's
+executor has a task deadline, so each point is priced in a pool
+worker — and the whole tree stays connected: every hop reachable by
+parent links, every request linked to its batch by a flow edge, and
+the exported Chrome trace valid under the shipped validator.
 """
 
 import asyncio
@@ -32,7 +32,7 @@ _SPEC.loader.exec_module(validate_trace)
 
 #: Bottom-up parent chain from the worker-side slab span to the batch.
 EXPECTED_CHAIN = [
-    "slab.evaluate",
+    "sweep.slab",
     "sweep.point",
     "sweep.stage",
     "scheduler.dispatch",
@@ -40,13 +40,14 @@ EXPECTED_CHAIN = [
 ]
 
 
-def _service(machine, tmp_path, **overrides):
+def _service(machine, tmp_path, task_timeout_s=None, **overrides):
     settings = dict(
         trace_sample=1.0, batch_window_s=0.05, default_timeout_s=60.0
     )
     settings.update(overrides)
     executor = SweepExecutor(
-        machine, workers=2, cache=ResultCache(tmp_path / "cache")
+        machine, workers=2, cache=ResultCache(tmp_path / "cache"),
+        task_timeout_s=task_timeout_s,
     )
     return ReductionService(
         machine,
@@ -67,7 +68,8 @@ def _requests(n):
 
 
 def _run_traced_batch(machine, tmp_path):
-    service = _service(machine, tmp_path)
+    # A task deadline sends each point to a pool worker.
+    service = _service(machine, tmp_path, task_timeout_s=60.0)
 
     async def scenario():
         try:
@@ -118,18 +120,20 @@ class TestTraceTopology:
 
         # The worker-side slab span walks up to the batch through an
         # unbroken parent chain.
-        slab_spans = by_name["slab.evaluate"]
+        slab_spans = by_name["sweep.slab"]
         assert slab_spans, "no worker-side slab spans recorded"
         walk = slab_spans[0]
-        chain = [walk.name]
+        chain = [walk]
         while walk.parent_id is not None:
             walk = by_id[walk.parent_id]
-            chain.append(walk.name)
-        assert chain == EXPECTED_CHAIN
+            chain.append(walk)
+        assert [sp.name for sp in chain] == EXPECTED_CHAIN
 
-        # ... and that chain crosses an OS-process boundary.
-        pids = {by_name[name][0].pid for name in EXPECTED_CHAIN}
-        assert len(pids) >= 2
+        # ... and that chain crosses an OS-process boundary: the slab
+        # and its point in a worker, the rest in the service's process.
+        assert chain[0].pid == chain[1].pid
+        assert {sp.pid for sp in chain[2:]} == {batch_span.pid}
+        assert chain[0].pid != batch_span.pid
 
     def test_exported_trace_validates_with_flow_events(
         self, telemetry, machine, tmp_path, capsys

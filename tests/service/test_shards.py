@@ -3,8 +3,8 @@
 A shard leaves through ``os._exit``, which skips the interpreter's exit
 hooks; its sweep pool (started by the first computed request when a
 per-task timeout is set) must still be shut down, or the pool workers
-outlive the server as orphans.  The shared-memory transport starts no
-resource tracker, so there is no tracker process to outlive it.
+outlive the server as orphans.  The pool starts no resource tracker,
+so there is no tracker process to outlive it.
 """
 
 import json

@@ -1,5 +1,7 @@
 """SweepExecutor: serial equivalence, pooling, caching, collation."""
 
+import multiprocessing
+
 import pytest
 
 from repro import Machine, ReproConfig
@@ -13,8 +15,10 @@ from repro.sweep import (
     CoexecRequest,
     ResultCache,
     SweepExecutor,
+    canonical_json,
     resolve_workers,
 )
+from repro.telemetry.state import metrics
 
 
 @pytest.fixture()
@@ -28,6 +32,10 @@ CONFIGS = [
     KernelConfig(teams=1024, v=4),
     KernelConfig(teams=65536, v=32),
 ]
+
+
+def _pickled_bytes():
+    return metrics().value("sweep.payload_bytes", transport="pickle") or 0
 
 
 class TestResolveWorkers:
@@ -71,19 +79,43 @@ class TestGpuPoints:
             assert record["bandwidth_gbs"] == direct.bandwidth_gbs
             assert record["value"] == direct.value.item()
 
+    def test_workers_without_deadline_price_in_process(self, machine):
+        serial = SweepExecutor(machine, workers=1).gpu_points(
+            C1, CONFIGS, trials=5, verify=False
+        )
+        children = set(multiprocessing.active_children())
+        ex = SweepExecutor(machine, workers=2)
+        try:
+            records = ex.gpu_points(C1, CONFIGS, trials=5, verify=False)
+            assert ex._pool is None
+            assert set(multiprocessing.active_children()) <= children
+        finally:
+            ex.close()
+        assert canonical_json(records) == canonical_json(serial)
+
     def test_parallel_matches_serial(self, machine):
         serial = SweepExecutor(machine, workers=1).gpu_points(
             C1, CONFIGS, trials=5, verify=False
         )
-        parallel = SweepExecutor(machine, workers=2).gpu_points(
-            C1, CONFIGS, trials=5, verify=False
-        )
+        # A task deadline sends each point through the pool.
+        pickled = _pickled_bytes()
+        ex = SweepExecutor(machine, workers=2, task_timeout_s=60.0)
+        try:
+            parallel = ex.gpu_points(C1, CONFIGS, trials=5, verify=False)
+        finally:
+            ex.close()
+        assert _pickled_bytes() > pickled
         assert parallel == serial
 
     def test_collation_preserves_submission_order(self, machine):
         configs = [KernelConfig(teams=t) for t in TEAMS_GRID]
-        ex = SweepExecutor(machine, workers=2)
-        records = ex.gpu_points(C1, configs, trials=2, verify=False)
+        pickled = _pickled_bytes()
+        ex = SweepExecutor(machine, workers=2, task_timeout_s=60.0)
+        try:
+            records = ex.gpu_points(C1, configs, trials=2, verify=False)
+        finally:
+            ex.close()
+        assert _pickled_bytes() > pickled
         # Bandwidth rises with teams on this grid, so order is observable.
         bws = [r["bandwidth_gbs"] for r in records]
         direct = [

@@ -1,8 +1,12 @@
 """Zero-copy slab transport: roundtrips, integrity, and leak discipline.
 
-The regression this file pins: a shared-memory segment must never
-outlive its slab — not on the happy path, not when a worker crashes
-mid-chunk, not when injected corruption forces a recompute.  Leak tests
+The unit tests pin the transport module itself: a shared-memory segment
+must never outlive its slab.  The executor no longer calls it — a
+``gpu_point`` is priced in-process, or under a task deadline one point
+per task through the pickle pool — so the executor-level classes at the
+end run that pooled path and pin that it leaves no segment, starts no
+resource tracker, survives a worker crash and a corrupted result, and
+falls back to serial pricing when its pool cannot start.  Leak tests
 scan ``/dev/shm`` for the module's name prefix directly.
 """
 
@@ -22,12 +26,14 @@ import pytest
 from repro import Machine, ReproConfig
 from repro.core.cases import C1, C2, C3
 from repro.core.optimized import KernelConfig
-from repro.faults import injector
-from repro.faults.plan import FaultPlan
+from repro.faults import SupervisedWorkerPool, injector
 from repro.sim.batch import SlabResult
 from repro.sweep import SweepExecutor, shm
 from repro.sweep.fingerprint import canonical_json
+from repro.telemetry.state import metrics
 from repro.verify.oracles import scalar_gpu_records
+
+from ..faults.test_supervisor import _find_seed
 
 _REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -72,16 +78,14 @@ def _result(records):
     )
 
 
-def _find_seed(rate, pattern):
-    """Smallest seed whose rule-0 draws fire exactly per *pattern*."""
-    for seed in range(2000):
-        plan = FaultPlan.parse(f"seed={seed};slab.evaluate:x@{rate}")
-        if all(
-            (plan._draw(0, "slab.evaluate", i) < rate) == want
-            for i, want in enumerate(pattern)
-        ):
-            return seed
-    raise AssertionError(f"no seed yields pattern {pattern} at rate {rate}")
+def _pooled(machine):
+    """An executor whose ``gpu_point`` stages cross a process boundary:
+    a task deadline sends each point to the pool as its own task."""
+    return SweepExecutor(machine, workers=2, task_timeout_s=60.0)
+
+
+def _metric(name, **labels):
+    return metrics().value(name, **labels) or 0
 
 
 class TestRequestRoundtrip:
@@ -261,13 +265,15 @@ class TestLeakRegression:
 
     def test_pool_slab_run_leaves_no_segments(self, machine):
         before = _leftovers()
-        executor = SweepExecutor(machine, workers=2)
+        pickled = _metric("sweep.payload_bytes", transport="pickle")
+        executor = _pooled(machine)
         try:
             records = executor.gpu_points(
                 C1, self.CONFIGS, trials=5, verify=False
             )
         finally:
             executor.close()
+        assert _metric("sweep.payload_bytes", transport="pickle") > pickled
         assert [canonical_json(r) for r in records] == [
             canonical_json(r) for r in self._serial_records(machine)
         ]
@@ -277,21 +283,23 @@ class TestLeakRegression:
             for name in shm.owned_segments()
         )
 
-    def test_crash_at_slab_evaluate_restarts_and_cleans_up(self, machine):
-        # Probe 0 crashes the first attempt's worker mid-slab; the
-        # supervisor restarts it (generation 1 resumes at probe 1) and
-        # the retry completes.  No failure records, no stale segments.
-        seed = _find_seed(0.5, [True, False, False, False])
-        injector.activate(f"seed={seed};slab.evaluate:crash@0.5")
+    def test_crash_at_worker_task_restarts_and_cleans_up(self, machine):
+        # Probe 0 crashes the first worker's first point; the supervisor
+        # restarts it (generation 2 resumes at probe 2) and the retry
+        # completes.  No failure records, no stale segments.
+        seed = _find_seed(0.5, [True] + [False] * 8)
+        injector.activate(f"seed={seed};worker.task:crash@0.5")
         before = _leftovers()
-        executor = SweepExecutor(machine, workers=2)
+        executor = _pooled(machine)
         try:
             records = executor.gpu_points(
                 C1, self.CONFIGS, trials=5, verify=False
             )
+            restarts = executor._pool.restarts
         finally:
             executor.close()
             injector.deactivate()
+        assert restarts == 1
         assert not any(r.get("failed") for r in records)
         assert [canonical_json(r) for r in records] == [
             canonical_json(r) for r in self._serial_records(machine)
@@ -299,12 +307,14 @@ class TestLeakRegression:
         assert _leftovers() - before == set()
 
     def test_injected_corruption_recomputes_never_collates(self, machine):
-        # wrong_result flips a response byte after its digest was taken:
-        # collation must detect it and recompute the chunk in-process —
-        # results stay correct even at 100% injection.
-        injector.activate("seed=1;slab.evaluate:wrong_result@1.0")
+        # wrong_result damages probe 0's record after its checksum was
+        # taken: the supervisor must detect it and run the point again,
+        # so the records stay correct.
+        seed = _find_seed(0.5, [True] + [False] * 8)
+        injector.activate(f"seed={seed};worker.task:wrong_result@0.5")
+        detected = _metric("sweep.pool.wrong_results_detected")
         before = _leftovers()
-        executor = SweepExecutor(machine, workers=2)
+        executor = _pooled(machine)
         try:
             records = executor.gpu_points(
                 C1, self.CONFIGS, trials=5, verify=False
@@ -312,6 +322,7 @@ class TestLeakRegression:
         finally:
             executor.close()
             injector.deactivate()
+        assert _metric("sweep.pool.wrong_results_detected") == detected + 1
         assert [canonical_json(r) for r in records] == [
             canonical_json(r) for r in self._serial_records(machine)
         ]
@@ -340,14 +351,15 @@ class TestNoResourceTracker:
         from repro.core.optimized import KernelConfig
         from repro.sweep import SweepExecutor
         from repro.sweep.fingerprint import canonical_json
+        from repro.telemetry.state import metrics
 
         configs = [None, KernelConfig(teams=1024, v=4),
                    KernelConfig(teams=1 << 14, v=8, threads=128)]
 
-        def run(workers):
+        def run(**kwargs):
             machine = Machine(
                 config=ReproConfig(functional_elements_cap=1 << 14))
-            executor = SweepExecutor(machine, workers=workers)
+            executor = SweepExecutor(machine, **kwargs)
             try:
                 records = executor.gpu_points(
                     C1, configs, trials=5, verify=False)
@@ -355,9 +367,11 @@ class TestNoResourceTracker:
                 executor.close()
             return canonical_json(records), executor.stats.mode
 
-        pooled, mode = run(2)
-        serial, _ = run(1)
-        print(json.dumps({"mode": mode, "same": pooled == serial}))
+        pooled, mode = run(workers=2, task_timeout_s=60.0)
+        pickled = metrics().value("sweep.payload_bytes", transport="pickle")
+        serial, _ = run(workers=1)
+        print(json.dumps({"mode": mode, "same": pooled == serial,
+                          "pickled": bool(pickled)}))
     """)
 
     def test_pooled_run_starts_no_resource_tracker(self, tmp_path):
@@ -375,33 +389,35 @@ class TestNoResourceTracker:
         )
         assert done.returncode == 0, done.stderr
         report = json.loads(done.stdout.splitlines()[-1])
-        assert report == {"mode": "processes(2)", "same": True}
+        assert report == {"mode": "processes(2)", "same": True,
+                          "pickled": True}
         assert log.read_text() == "", "a process started a resource tracker"
         assert _leftovers() - before == set()
 
 
 class TestPoolUnavailableFallback:
-    def test_full_dev_shm_prices_serially_and_leaks_nothing(
+    def test_pool_that_cannot_start_prices_serially(
         self, machine, monkeypatch
     ):
-        # The first request segment is made, the second finds /dev/shm
-        # full: the executor must release the first, close its pool and
-        # price every point serially.
-        real = shm.create_segment
-        made = []
+        # The first worker starts, the second cannot be forked: the
+        # executor must stop the first, drop its pool and price every
+        # point serially.
+        real = SupervisedWorkerPool._spawn
+        started = []
 
-        def full_after_one(nbytes, name=None, owner=True):
-            if made:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            segment = real(nbytes, name, owner)
-            made.append(segment.name)
-            return segment
+        def fork_fails_after_one(pool, slot):
+            if started:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            handle = real(pool, slot)
+            started.append(handle.proc)
+            return handle
 
-        monkeypatch.setattr(shm, "create_segment", full_after_one)
+        monkeypatch.setattr(SupervisedWorkerPool, "_spawn",
+                            fork_fails_after_one)
         configs = TestLeakRegression.CONFIGS
         before = _leftovers()
         children = set(multiprocessing.active_children())
-        executor = SweepExecutor(machine, workers=2)
+        executor = _pooled(machine)
         try:
             records = executor.gpu_points(C1, configs, trials=5,
                                           verify=False)
@@ -409,16 +425,13 @@ class TestPoolUnavailableFallback:
             mode = executor.stats.mode
             pool = executor._pool
             executor.close()
-        assert made, "no request segment was made before the failure"
+        assert started, "no worker was started before the failure"
         assert mode == "serial (pool unavailable)"
         assert pool is None
+        assert not started[0].is_alive()
         assert set(multiprocessing.active_children()) <= children
         assert [canonical_json(r) for r in records] == [
             canonical_json(r)
             for r in TestLeakRegression()._serial_records(machine)
         ]
         assert _leftovers() - before == set()
-        assert not any(
-            name.startswith(shm.SEGMENT_PREFIX)
-            for name in shm.owned_segments()
-        )

@@ -136,26 +136,45 @@ class TestPipelineSpans:
         assert stage_span.attributes["error"] is True
 
 
+def _pooled_points(machine):
+    """Price CONFIGS where gpu_point crosses a process boundary: a task
+    deadline sends each point to the pool as its own task."""
+    executor = SweepExecutor(machine, workers=2, task_timeout_s=60.0)
+    try:
+        executor.gpu_points(C1, CONFIGS, trials=3, verify=False)
+    finally:
+        executor.close()
+
+
 class TestWorkerReparenting:
     def test_pool_spans_ship_back_and_nest_under_stage(
         self, telemetry, small_machine
     ):
-        executor = SweepExecutor(small_machine, workers=2)
-        executor.gpu_points(C1, CONFIGS, trials=3, verify=False)
+        _pooled_points(small_machine)
 
         spans = telemetry.recorder.snapshot()
+        by_id = {sp.span_id: sp for sp in spans}
         stage = next(sp for sp in spans if sp.name == "sweep.stage")
         points = [sp for sp in spans if sp.name == "sweep.point"]
         assert len(points) == len(CONFIGS)
         worker_points = [sp for sp in points
                          if sp.attributes.get("worker")]
-        assert worker_points, "expected worker-recorded spans"
+        assert worker_points == points, "expected worker-recorded spans"
         # Every worker span hangs off the coordinator's stage span —
         # either inherited at fork time or re-parented by ingest()
         # (spawn pools ship root spans; test_spans covers that path).
         for sp in worker_points:
             assert sp.parent_id == stage.span_id
             assert sp.pid != stage.pid  # really crossed a process boundary
+
+        # Each point is priced as a one-point slab inside its worker.
+        slabs = [sp for sp in spans if sp.name == "sweep.slab"]
+        assert len(slabs) == len(CONFIGS)
+        for sp in slabs:
+            parent = by_id[sp.parent_id]
+            assert parent.name == "sweep.point"
+            assert parent.pid == sp.pid != stage.pid
+            assert sp.attributes["points"] == 1
 
         # The exported chrome trace keeps the linkage intact.
         doc = chrome_trace(spans)
@@ -164,13 +183,26 @@ class TestWorkerReparenting:
         for sp in worker_points:
             assert by_id[sp.span_id]["args"]["parent_id"] in by_id
 
+    def test_span_ids_unique_across_processes(
+        self, telemetry, small_machine
+    ):
+        _pooled_points(small_machine)
+        spans = telemetry.recorder.snapshot()
+        assert len({sp.pid for sp in spans}) > 1
+        assert len({sp.span_id for sp in spans}) == len(spans)
+        # Span ids carry a hex pid prefix: that is what makes
+        # cross-process ids collision-free.
+        for sp in spans:
+            assert sp.span_id.startswith(f"{sp.pid:x}-")
+
 
 class TestDisabledPath:
     def test_results_identical_with_and_without_telemetry(
         self, disabled_telemetry, monkeypatch
     ):
         """Telemetry changes timing, never the path: every executor shape
-        prices gpu_point through the slab with spans on or off."""
+        prices gpu_point through the slab with spans on or off —
+        in-process without a deadline, in pool workers with one."""
         from repro.sim import batch
 
         evaluate = batch.evaluate_gpu_slab
@@ -187,13 +219,14 @@ class TestDisabledPath:
             "workers 1": {"workers": 1},
             "workers 2": {"workers": 2},
             "timeout": {"workers": 1, "task_timeout_s": 30.0},
+            "workers 2, timeout": {"workers": 2, "task_timeout_s": 30.0},
         }
         for cell, kwargs in cells.items():
             runs = {}
             for enabled in (False, True):
                 slab_calls.clear()
-                shm_before = reg.value("sweep.payload_bytes",
-                                       transport="shm") or 0
+                pickled = reg.value("sweep.payload_bytes",
+                                    transport="pickle") or 0
                 disabled_telemetry.enabled = enabled
                 executor = SweepExecutor(Machine(config=config), **kwargs)
                 try:
@@ -203,16 +236,16 @@ class TestDisabledPath:
                 finally:
                     disabled_telemetry.enabled = False
                     executor.close()
-                if executor.stats.mode == "serial":
+                after = reg.value("sweep.payload_bytes",
+                                  transport="pickle") or 0
+                if executor.task_timeout_s is None:
+                    # One slab, here, whatever the worker count.
                     assert slab_calls == [len(CONFIGS)], (cell, enabled)
+                    assert after == pickled, (cell, enabled)
                 else:
-                    assert executor.stats.mode.startswith("processes")
-                    assert not reg.value(
-                        "sweep.payload_bytes", transport="pickle"
-                    ), (cell, enabled)
-                    shm_after = reg.value("sweep.payload_bytes",
-                                          transport="shm")
-                    assert shm_after > shm_before, (cell, enabled)
+                    # One one-point slab per task, in the workers.
+                    assert slab_calls == [], (cell, enabled)
+                    assert after > pickled, (cell, enabled)
             assert runs[True] == runs[False], cell  # byte-identical records
 
     def test_registry_is_the_same_with_spans_on_or_off(

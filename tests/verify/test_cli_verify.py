@@ -75,7 +75,7 @@ class TestExitZero:
         doc = json.loads(out.read_text())
         assert set(doc["benchmarks"]) == {
             "sim_microbench", "warm_cache_sweep", "service_p99",
-            "slab_microbench", "pool_transport", "telemetry_overhead",
+            "slab_microbench", "telemetry_overhead",
             "checkpoint_overhead", "stream_write",
             "ring_lookup", "membership_tick",
         }
