@@ -95,7 +95,7 @@ def main() -> None:
     executor = SweepExecutor(machine, workers=args.workers, cache=cache,
                              task_timeout_s=args.task_timeout)
     print(f"machine: {machine.describe()}")
-    print(f"executor: {executor.stats.mode}, "
+    print(f"executor: workers {executor.workers}, "
           f"cache {'off' if cache is None else f'at {cache.directory}'}\n")
 
     with span("reproduce_paper", category="cli"):
@@ -112,7 +112,8 @@ def main() -> None:
 
     if args.trace_out:
         telemetry = get_telemetry()
-        publish_counts(telemetry.registry, machine.trace, cache)
+        publish_counts(telemetry.registry, machine.trace, cache,
+                       machine.values)
         print()
         print(render_summary(telemetry.recorder.snapshot(),
                              telemetry.registry))

@@ -1800,7 +1800,8 @@ def _dispatch(
         print(executor.stats.render())
         if executor.cache is not None:
             print(executor.cache.describe())
-    publish_counts(telemetry.registry, machine.trace, executor.cache)
+    publish_counts(telemetry.registry, machine.trace, executor.cache,
+                   machine.values)
     if trace_out:
         path = write_chrome_trace(
             trace_out, trace=machine.trace, registry=telemetry.registry

@@ -584,7 +584,8 @@ class CoordinatorHTTPServer(BaseHTTPServer):
         if path == "/metrics":
             if method != "GET":
                 raise _HTTPError(405, "use GET /metrics")
-            publish_counts(self.registry, self.machine.trace, self._cache)
+            publish_counts(self.registry, self.machine.trace, self._cache,
+                           self.machine.values)
             if wants_prometheus(headers.get("accept", "")):
                 text = prometheus_text(self.registry)
                 return 200, _RawBody(PROM_CONTENT_TYPE, text.encode("utf-8"))

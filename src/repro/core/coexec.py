@@ -27,9 +27,11 @@ Bandwidth per Listing 8: ``1e-9 * M * sizeof(T) * N / elapsed``.
 The functional value, sumD + sumH on the size-capped workload, reads
 neither the site nor the page state, so the A1 and A2 sweeps of one p
 grid compute the same reductions.  :func:`_functional_coexec` computes
-each once per machine and replays it: the value is a scalar, keyed on
-everything the two executors read, and a call that asks for verification
-checks it against the full-array reference whether it hit or not.
+each once per machine and replays it from the machine's value layer
+(:mod:`repro.sim.values`, shared with the slab): the value is a scalar,
+keyed on everything the two executors read, and a call that asks for
+verification checks it against the full-array reference, which the
+layer computes once per machine, whether it hit or not.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .cases import Case
 from .machine import Machine
 from .optimized import KernelConfig, optimized_program
 from .timing import TRIALS
-from .verify import verify_result
 
 __all__ = [
     "AllocationSite",
@@ -184,12 +185,13 @@ def _functional_coexec(
 ) -> np.generic:
     """Actually compute sumD + sumH on the size-capped workload.
 
-    Memoized per machine on exactly what it reads: T, R, the workload
-    length, the device part's length and kernel shape, and the host core
-    count.  The site and the page state are not among them, so A1 and A2
-    share each value.  Verification runs on every call that asks for it,
-    hit or miss, and a value is stored only once the call that computed
-    it has passed the verification it asked for.
+    Kept in the machine's value layer, keyed on exactly what it reads:
+    T, R, the workload length, the device part's length and kernel
+    shape, and the host core count.  The site and the page state are not
+    among them, so A1 and A2 share each value.  Verification runs on
+    every call that asks for it, hit or miss, and a value is stored only
+    once the call that computed it has passed the verification it asked
+    for.
     """
     data = machine.workload(case)
     n = data.size
@@ -204,13 +206,12 @@ def _functional_coexec(
                   kernel.elements_per_iteration)
     else:
         n_d = 0
-    memo = getattr(machine, "_coexec_value_cache", None)
-    if memo is None:
-        memo = machine._coexec_value_cache = {}
+    layer = machine.values
     key = (case.element_type.name, rtype.name, n, n_d, device,
            machine.cpu.cores)
-    total = memo.get(key)
-    if total is None:
+    total = layer.value(key)
+    fresh = total is None
+    if fresh:
         if device is not None:
             sum_d = execute_reduction(data[:n_d], kernel)
         else:
@@ -221,8 +222,9 @@ def _functional_coexec(
             sum_h = rtype.zero()
         total = op.combine(rtype.numpy.type(sum_d), rtype.numpy.type(sum_h))
     if verify:
-        verify_result(total, data, rtype)
-    memo[key] = total
+        layer.verify(machine, case, "+", total)
+    if fresh:
+        layer.store(key, total)
     return total
 
 

@@ -1,14 +1,19 @@
 """The simulated Grace-Hopper node everything runs on.
 
 A :class:`Machine` bundles the hardware description, the GPU calibration,
-the OpenMP device runtime, a trace, and workload generation.  It offers the
-two primitives the higher layers compose:
+the OpenMP device runtime, a trace, a value layer, and workload
+generation.  It offers the two primitives the higher layers compose:
 
 * :meth:`run_kernel` — predict a kernel's time (and record the launch,
   profiler-style);
 * :meth:`workload` — a deterministic, size-capped input array for a case
   (the functional layer sums real numbers; the performance model reasons
   about the declared size).
+
+``machine.values`` (:class:`~repro.sim.values.ValueLayer`) keeps the
+functional values, host references and small thread levels computed on
+this machine's workloads, so the slab and co-execution compute each once
+per machine.  Oracles build their own machine, so they never share it.
 """
 
 from __future__ import annotations
@@ -28,13 +33,15 @@ from ..memory.unified import UnifiedMemoryManager
 from ..openmp.icv import ICVSet
 from ..openmp.runtime import DeviceRuntime
 from ..sim.trace import KernelLaunchRecord, Trace
+from ..sim.values import ValueLayer
 from .cases import Case
 
 __all__ = ["Machine"]
 
 
 class Machine:
-    """A simulated GH200 node: hardware + runtime + trace + workloads."""
+    """A simulated GH200 node: hardware + runtime + trace + value layer +
+    workloads."""
 
     def __init__(
         self,
@@ -53,6 +60,7 @@ class Machine:
 
             activate(self.config.faults)
         self.trace = Trace()
+        self.values = ValueLayer()
         self.runtime = DeviceRuntime(self.system.gpu, icvs)
         self._workload_cache: Dict[tuple, np.ndarray] = {}
         # The service dispatches concurrent handlers against one shared

@@ -19,7 +19,8 @@ from ..dtypes import scalar_type
 from ..errors import VerificationError
 from ..openmp.reduction_ops import get_reduction_op
 
-__all__ = ["reference_result", "float_tolerance", "verify_result"]
+__all__ = ["check_result", "float_tolerance", "reference_result",
+           "verify_result"]
 
 
 def reference_result(data: np.ndarray, result_type, identifier: str = "+",
@@ -62,6 +63,9 @@ def verify_result(actual, data: np.ndarray, result_type, identifier: str = "+",
                   second: Optional[np.ndarray] = None):
     """Check *actual* against the host reference; returns the reference.
 
+    The reference (:func:`reference_result`), then the comparison
+    (:func:`check_result`).
+
     Raises
     ------
     VerificationError
@@ -70,6 +74,22 @@ def verify_result(actual, data: np.ndarray, result_type, identifier: str = "+",
     """
     rtype = scalar_type(result_type)
     expected = reference_result(data, rtype, identifier, second)
+    check_result(actual, expected, rtype, identifier, data.size)
+    return expected
+
+
+def check_result(actual, expected, result_type, identifier: str,
+                 n_elements: int) -> None:
+    """Compare *actual* with the reference *expected* of an
+    *n_elements*-element reduction.
+
+    Raises
+    ------
+    VerificationError
+        On an exact mismatch (integers and grouping-exact identifiers) or
+        an out-of-tolerance result (grouping-sensitive float reductions).
+    """
+    rtype = scalar_type(result_type)
     if not rtype.is_integer and identifier not in _GROUPING_SENSITIVE:
         # Exact float comparison via bit-for-bit equality (NaN-safe: a
         # NaN result never equals the reference and fails).
@@ -80,7 +100,7 @@ def verify_result(actual, data: np.ndarray, result_type, identifier: str = "+",
                 expected=expected,
                 actual=actual,
             )
-        return expected
+        return
     if rtype.is_integer:
         if int(actual) != int(expected):
             raise VerificationError(
@@ -89,8 +109,8 @@ def verify_result(actual, data: np.ndarray, result_type, identifier: str = "+",
                 expected=expected,
                 actual=actual,
             )
-        return expected
-    rtol = float_tolerance(rtype, data.size)
+        return
+    rtol = float_tolerance(rtype, n_elements)
     scale = max(abs(float(expected)), 1.0)
     # Negated comparison so NaN/inf results FAIL verification (a plain
     # `diff > tol` is False for NaN and would silently pass).
@@ -101,4 +121,3 @@ def verify_result(actual, data: np.ndarray, result_type, identifier: str = "+",
             expected=expected,
             actual=actual,
         )
-    return expected

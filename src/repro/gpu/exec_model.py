@@ -33,7 +33,11 @@ work.  So :mod:`repro.sim.batch` computes it once for the launches of a
 slab that agree on all of those (the starts by
 :func:`_thread_starts_key`) and runs each launch's own team level over
 it: the same NumPy calls on the same arrays as one
-:func:`execute_reduction` per launch, so no bit moves.
+:func:`execute_reduction` per launch, so no bit moves.  The machine's
+value layer (:mod:`repro.sim.values`) keeps the small levels, read-only,
+so later slab calls on that machine share them too.  Only the slab
+shares levels: :func:`repro.core.timing.measure_gpu_reduction` and
+co-execution run :func:`execute_reduction` whole.
 
 For integers the result is exactly ``sum mod 2**bits`` regardless of the
 geometry (modular addition is associative); for floats different geometries

@@ -426,6 +426,7 @@ class ServiceHTTPServer(BaseHTTPServer):
                 self.service.registry,
                 trace=executor.machine.trace,
                 result_cache=executor.cache,
+                values=executor.machine.values,
             )
             if wants_prometheus(headers.get("accept", "")):
                 text = prometheus_text(self.service.registry)

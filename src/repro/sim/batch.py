@@ -25,21 +25,26 @@ bits):
 3. the kernel-time model of :func:`~repro.gpu.perf.estimate_kernel_time`
    runs once over arrays, and the launches are recorded with one
    :meth:`~repro.sim.trace.Trace.record_launches` call;
-4. functional values are memoized per machine, and a slab computes each
-   value the memo lacks once: the points are grouped by what their value
-   depends on (case, op and geometry; an integer sum by case alone), so
-   the memo, verification and ``.item()`` run once per value group.
-   Integer sums are geometry-independent (modular addition is
-   associative — any grouping yields ``sum mod 2**bits``), so one
-   ``np.add.reduce`` per (T, R, size) serves every geometry.  Every other
-   point runs the device executor's two halves
-   (:mod:`repro.gpu.exec_model`): the misses are grouped by what the
-   thread level reads — identifier, T, R, size and the thread starts —
-   each group's thread partials are computed once, and each point runs
-   its own team level and final combine over them, the calls one
+4. functional values come from the machine's value layer
+   (:mod:`repro.sim.values`), and a slab computes each value the layer
+   lacks once: the points are grouped by what their value depends on
+   (case, op and geometry; an integer sum by case alone), so the lookup,
+   verification and ``.item()`` run once per value group.  Integer sums
+   are geometry-independent (modular addition is associative — any
+   grouping yields ``sum mod 2**bits``), so one ``np.add.reduce`` per
+   (T, R, size) serves every geometry.  Every other point runs the
+   device executor's two halves (:mod:`repro.gpu.exec_model`): the
+   misses are grouped by what the thread level reads — identifier, T, R,
+   size and the thread starts — each group's thread partials are
+   computed once, or served by the layer, and each point runs its own
+   team level and final combine over them, the calls one
    :func:`~repro.gpu.exec_model.execute_reduction` per point would make.
-   Groups run one after another, so one thread-level array is alive at a
-   time and none outlives the call; the memo keeps scalars only.
+   Groups run one after another.  The layer keeps a level across calls
+   only when its partials own at most 1 MiB, and at most 4 MiB of levels
+   per machine; any larger level is released before the next group
+   computes its own.  Every group that asks for verification compares
+   its value with the layer's host reference, hit or miss, and the
+   values a call computed are stored only once every comparison passed.
 
 The only per-point Python is building the launch records and the result
 values (plus the scalar checks on the error path); groups and names are
@@ -67,7 +72,6 @@ from typing import Any, Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..core.optimized import KernelConfig
-from ..core.verify import verify_result
 from ..errors import LaunchError, MeasurementError, MemoryModelError
 from ..gpu.exec_model import _team_level, _thread_level, _thread_starts_key
 # Bound for ``perfbench/tracing.py``, which wraps this module's name; the
@@ -312,7 +316,7 @@ def _groups(*columns: List[int]) -> Tuple[List[int], List[tuple]]:
 
 def _value_key(case, n: int, grid: int, block: int, v: int,
                op: str) -> tuple:
-    """What a point's functional value depends on, for the value memo.
+    """What a point's functional value depends on, in the value layer.
 
     Integer sums are geometry-independent; float sums key on the full
     schedule shape; non-sum identifiers key on the full shape plus the op.
@@ -330,25 +334,30 @@ def _operands(machine, case, op: str) -> tuple:
             machine.workload_pair(case) if op == "dot" else None)
 
 
-def _missing_values(machine, memo: dict, keys: List[tuple],
-                    groups: List[tuple]) -> dict:
-    """Compute the value of every key *memo* lacks, once per key.
+def _values(machine, keys: List[tuple], groups: List[tuple]
+            ) -> Tuple[dict, List[tuple]]:
+    """Each distinct key's value, and the keys the value layer lacked.
 
     *keys* and *groups* run parallel over a slab's value groups: each
-    group's key and ``(case, op, grid, block, V column)``.  Modular
-    addition is associative (any grouping yields ``sum mod 2**bits``), so
-    an integer sum is one ``np.add.reduce``.  Every other key runs the
-    hierarchical executor, grouped by everything its thread level reads:
-    the identifier, T, R, ``n`` and the thread starts.
+    group's key and ``(case, op, grid, block, V column)``.  A key the
+    layer lacks is computed once.  Modular addition is associative (any
+    grouping yields ``sum mod 2**bits``), so an integer sum is one
+    ``np.add.reduce``.  Every other key runs the hierarchical executor,
+    grouped by everything its thread level reads: the identifier, T, R,
+    ``n`` and the thread starts.  The layer serves a level it kept; a
+    computed one it may keep.
     """
-    misses: dict = {}
-    for i, key in enumerate(keys):
-        if key not in memo:
-            misses.setdefault(key, i)
+    layer = machine.values
     values: dict = {}
+    fresh: List[tuple] = []
     levels: dict = {}
-    for key, i in misses.items():
-        case, op, g, b, v_column = groups[i]
+    for key, (case, op, g, b, v_column) in zip(keys, groups):
+        if key in values:
+            continue
+        values[key] = layer.value(key)
+        if values[key] is not None:
+            continue
+        fresh.append(key)
         rtype = case.result_type
         if op == "+" and rtype.is_integer:
             values[key] = rtype.numpy.type(
@@ -369,16 +378,19 @@ def _missing_values(machine, memo: dict, keys: List[tuple],
                   *_thread_starts_key(machine.functional_elements(case),
                                       g, b, v))
         levels.setdefault(shared, []).append((key, case, kernel))
-    for members in levels.values():
+    for shared, members in levels.items():
         _key, case, kernel = members[0]
-        data, second = _operands(machine, case, kernel.identifier)
-        level = _thread_level(data, kernel, second)
+        level = layer.level(shared)
+        if level is None:
+            data, second = _operands(machine, case, kernel.identifier)
+            level = _thread_level(data, kernel, second)
+            layer.keep_level(shared, level, data)
         for key, _case, kernel in members:
             values[key] = _team_level(level, kernel)
         # Release this group's array before the next group computes its
-        # own: one thread-level array is alive at a time.
+        # own, unless the layer kept it.
         del level
-    return values
+    return values, fresh
 
 
 def evaluate_gpu_slab(machine, points: Sequence[tuple]) -> SlabResult:
@@ -538,13 +550,10 @@ def evaluate_gpu_slab(machine, points: Sequence[tuple]) -> SlabResult:
     # -- pass 4: functional values, once per value group.  A group's
     # points share case, op, verify flag and, where the value depends on
     # it, launch geometry, so the groups' first points are every point
-    # where the serial loop touches the memo.  The memo holds (value,
-    # verified); verification runs once per key, on the first point that
-    # asks for it, and a value is stored only once the point that
-    # computed it has verified it if asked to.
-    memo = getattr(machine, "_slab_value_cache", None)
-    if memo is None:
-        memo = machine._slab_value_cache = {}
+    # where the serial loop computes a value.  Every group that asks for
+    # verification compares its value with the host reference, hit or
+    # miss, and the values this call computed reach the value layer only
+    # once every comparison has passed.
     strict = machine.config.strict_verify
     if geometric_values:
         shape = [(column * geometric).tolist()
@@ -559,19 +568,13 @@ def evaluate_gpu_slab(machine, points: Sequence[tuple]) -> SlabResult:
                    o)
         for case, o, g, b, v in groups
     ]
-    fresh = _missing_values(machine, memo, keys, groups)
-    values: Dict[tuple, Any] = {}
+    values, fresh = _values(machine, keys, groups)
+    layer = machine.values
     for key, (case, o, *_geometry), (_c, _o, flag, *_shape) in zip(
             keys, groups, rows):
-        ask = strict if flag < 0 else flag > 0
-        hit = memo.get(key)
-        if key not in values:
-            values[key] = fresh[key] if hit is None else hit[0]
-        if hit is not None and (not ask or hit[1]):
-            continue
-        if ask:
-            data, second = _operands(machine, case, o)
-            verify_result(values[key], data, case.result_type, o, second)
-        memo[key] = (values[key], ask)
+        if strict if flag < 0 else flag > 0:
+            layer.verify(machine, case, o, values[key])
+    for key in fresh:
+        layer.store(key, values[key])
     items = {key: value.item() for key, value in values.items()}
     return SlabResult(bandwidth, elapsed, gid, [items[key] for key in keys])

@@ -330,9 +330,11 @@ class SweepExecutor:
         self.stats = SweepStats(
             registry=telemetry.registry if telemetry.enabled else None
         )
+        # The mode names what runs.  Under a deadline every computed
+        # point goes through the pool; without one only a pooled
+        # co-execution stage does, and _compute_pool records it.
         self.stats.mode = (
-            "serial"
-            if self.workers == 1 and self.task_timeout_s is None
+            "serial" if self.task_timeout_s is None
             else f"processes({self.workers})"
         )
         self._machine_fp = fingerprint(machine_fingerprint_data(machine))
@@ -539,6 +541,7 @@ class SweepExecutor:
 
     def _compute_pool(self, kind: str, payloads: List[tuple]) -> List[dict]:
         pool = self._ensure_pool()
+        self.stats.mode = f"processes({self.workers})"
         metrics().counter("sweep.payload_bytes", transport="pickle").add(
             sum(
                 len(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL))

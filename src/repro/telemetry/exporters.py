@@ -59,17 +59,21 @@ def _hit_ratio(hits: int, misses: int) -> float:
 
 
 def publish_counts(
-    registry: MetricsRegistry, trace: Any, result_cache: Any = None
+    registry: MetricsRegistry, trace: Any, result_cache: Any = None,
+    values: Any = None,
 ) -> None:
     """Set gauges from the counts their owners keep, at export time.
 
-    The sim :class:`~repro.sim.trace.Trace`, the
+    The sim :class:`~repro.sim.trace.Trace`, the machine's
+    :class:`~repro.sim.values.ValueLayer` (*values*), the
     :class:`~repro.sweep.result_cache.ResultCache` and the process-wide
     compile cache count their own events whatever the telemetry switch
     says; ``/metrics``, the CLI's exports and
     ``examples/reproduce_paper.py`` call this before they read the
     registry.  The ``sim.*`` values are the
-    trace's whole-run totals, evicted records included.
+    trace's whole-run totals, evicted records included; the
+    ``sim.values.*`` ones are the value layer's hits, misses, evictions
+    and what it keeps.
     """
     from ..compiler.cache import compile_cache_stats
 
@@ -86,6 +90,9 @@ def publish_counts(
         registry.gauge("sweep.result_cache.hit_ratio").set(
             _hit_ratio(result_cache.hits, result_cache.misses)
         )
+    if values is not None:
+        for name, count in values.counts().items():
+            registry.gauge(f"sim.values.{name}").set(count)
     registry.gauge("sim.kernel_seconds").set(trace.kernel_seconds)
     for name, label, counts in (
         ("sim.kernel_launches", "kernel", trace.launches_by_kernel),

@@ -237,6 +237,33 @@ class TestValueMemo:
                                      p_grid=(0.5,), trials=1, verify=False)
         assert self._values(again) == self._values(alone)
 
+    def test_the_reference_is_computed_once_per_machine(self, monkeypatch):
+        # Every p of a verified sweep compares its value with the same
+        # whole-array reference; the value layer computes it once, and
+        # the A2 sweep and the slab on that machine reuse it.
+        import repro.sim.values as values_mod
+        from repro.sim.batch import evaluate_gpu_slab
+
+        calls = []
+        real = values_mod.reference_result
+        monkeypatch.setattr(
+            values_mod, "reference_result",
+            lambda *args: calls.append(args[1:]) or real(*args),
+        )
+        case = C1.scaled(1 << 16, name="C1r")
+        config = KernelConfig(teams=128, v=4)
+        machine = Machine(config=self.SMALL)
+        for site in (AllocationSite.A1, AllocationSite.A2):
+            sweep = measure_coexec_sweep(machine, case, site, config,
+                                         trials=5, verify=True)
+            assert len(sweep.measurements) == len(CPU_PART_GRID)
+        evaluate_gpu_slab(machine, [(case, config, 5, True)])
+        assert len(calls) == 1
+        measure_coexec_sweep(Machine(config=self.SMALL), case,
+                             AllocationSite.A1, config, trials=5,
+                             verify=True)
+        assert len(calls) == 2
+
     def test_other_config_cap_or_profile_is_a_miss(self, counted):
         case = C3.scaled(1 << 16, name="C3k")
         machine = Machine(config=self.SMALL)

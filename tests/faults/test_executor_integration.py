@@ -125,6 +125,26 @@ class TestTimeoutSweep:
         serial = SweepExecutor(machine, workers=1)
         assert serial.stats.mode == "serial"
 
+    def test_mode_names_what_ran(self, machine):
+        # Without a deadline a gpu_point stage is priced in-process at
+        # any --workers, so no pool ran; with one, every point went
+        # through the pool.
+        payloads = _payloads(3)
+        serial = SweepExecutor(machine, workers=2)
+        try:
+            serial.run("gpu_point", payloads, "sweep")
+            assert serial.stats.mode == "serial"
+            assert serial._pool is None
+        finally:
+            serial.close()
+        pooled = SweepExecutor(machine, workers=2, task_timeout_s=60.0)
+        try:
+            pooled.run("gpu_point", payloads, "sweep")
+            assert pooled.stats.mode == "processes(2)"
+            assert pooled._pool is not None
+        finally:
+            pooled.close()
+
     def test_pool_results_match_serial_at_executor_level(self, machine):
         payloads = _payloads(3)
         pickled = metrics().value("sweep.payload_bytes", transport="pickle")

@@ -10,13 +10,15 @@ running on its own machine so it cannot share any memo with the path
 under test.
 """
 
+import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Machine, ReproConfig
+from repro import Machine, ReproConfig, VerificationError
 from repro.core.cases import C3, Case
 from repro.core.optimized import KernelConfig
 from repro.core.timing import TRIALS
@@ -24,6 +26,7 @@ from repro.core.tuning import DEFAULT_THREADS, TEAMS_GRID, V_GRID
 from repro.gpu.exec_model import _schedule, _thread_starts_key
 from repro.sim import batch
 from repro.sim.batch import evaluate_gpu_slab
+from repro.sim.values import LEVEL_BUDGET_BYTES, LEVEL_CAP_BYTES
 from repro.sweep.fingerprint import canonical_json
 from repro.verify.oracles import scalar_gpu_records
 
@@ -276,6 +279,28 @@ class TestFloatPanels:
             == oracle.trace.kernel_launches
         )
 
+    @given(payloads=float_panels(), sizes=st.lists(
+        st.sampled_from((1, 1, 1, 2, 3)), min_size=1, max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_panel_split_over_many_calls(self, payloads, sizes):
+        # The same panels, priced by many one-point and few-point calls
+        # on one machine: later calls read the values, references and
+        # thread levels that earlier calls left in its value layer.
+        slab_machine, oracle = _panel_machines()
+        records, start = [], 0
+        for size in sizes * len(payloads):
+            if start >= len(payloads):
+                break
+            chunk = payloads[start:start + size]
+            records += evaluate_gpu_slab(slab_machine, chunk).records()
+            start += size
+        oracle_records = scalar_gpu_records(oracle, payloads)
+        assert canonical_json(records) == canonical_json(oracle_records)
+        assert (
+            slab_machine.trace.kernel_launches
+            == oracle.trace.kernel_launches
+        )
+
     @pytest.mark.parametrize("etype,rtype", _FLOAT_PAIRS)
     def test_ragged_and_non_uniform_panel(self, etype, rtype):
         # n = 50001 (capped).  At 128 teams of 32 threads each team's 391
@@ -314,6 +339,15 @@ class TestFloatPanels:
         ) == canonical_json(scalar_gpu_records(oracle, payloads))
 
 
+def _figure1c_payloads():
+    """The paper's Figure 1c panel: C3 at 60 (teams, V) points."""
+    return [
+        (C3, KernelConfig(teams=t, v=v, threads=DEFAULT_THREADS), TRIALS,
+         False)
+        for t in TEAMS_GRID for v in V_GRID if t >= v
+    ]
+
+
 class TestSharedThreadLevels:
     @pytest.fixture()
     def counted(self, monkeypatch):
@@ -339,11 +373,7 @@ class TestSharedThreadLevels:
         # point would compute 60 thread levels; the slab computes one per
         # distinct thread chunk, which the schedule fixes.
         machine = Machine()
-        payloads = [
-            (C3, KernelConfig(teams=t, v=v, threads=DEFAULT_THREADS),
-             TRIALS, False)
-            for t in TEAMS_GRID for v in V_GRID if t >= v
-        ]
+        payloads = _figure1c_payloads()
         assert len(payloads) == 60
         n = machine.functional_elements(C3)
         chunks = set()
@@ -361,31 +391,199 @@ class TestSharedThreadLevels:
                          calibration=machine.calibration)
         assert canonical_json(records) == canonical_json(
             scalar_gpu_records(oracle, payloads))
-        # The value memo replays the panel without another thread level.
+        # The value layer replays the panel without another thread level.
         assert evaluate_gpu_slab(machine, payloads).records() == records
         assert counted["thread"] == len(chunks)
 
-    def test_one_thread_level_alive_at_a_time(self, monkeypatch):
-        machine = Machine(config=_PANEL_CONFIG)
-        case = _panel_case("float32", "float64", 1 << 16)
-        payloads = [
-            (case, KernelConfig(teams=t, v=v, threads=64), 5, True)
-            for t in (128, 1024, 65536) for v in (1, 4, 32)
+    def test_one_point_calls_compute_each_kept_level_once(self, monkeypatch):
+        # The same Figure 1c panel, one point per call: the value layer
+        # serves every level it kept to later calls, so each kept level
+        # is computed once; a level it may not keep is computed again.
+        machine = Machine()
+        payloads = _figure1c_payloads()
+        computed = {}
+        real = batch._thread_level
+
+        def counted(data, kernel, second=None):
+            level = real(data, kernel, second)
+            geometry = kernel.geometry
+            key = _thread_starts_key(data.size, geometry.grid,
+                                     geometry.block,
+                                     kernel.elements_per_iteration)
+            keepable = (level[1].nbytes <= LEVEL_CAP_BYTES
+                        and not np.may_share_memory(level[1], data))
+            calls, _ = computed.get(key, (0, keepable))
+            computed[key] = (calls + 1, keepable)
+            return level
+
+        monkeypatch.setattr(batch, "_thread_level", counted)
+        records = [evaluate_gpu_slab(machine, [p]).records()[0]
+                   for p in payloads]
+        assert len(computed) == 13
+        kept = {key: calls for key, (calls, keepable) in computed.items()
+                if keepable}
+        assert kept and all(calls == 1 for calls in kept.values())
+        # Most of the panel's points read a kept level.
+        assert sum(calls for calls, _ in computed.values()) < 60
+        counts = machine.values.counts()
+        assert counts["level_evictions"] == 0
+        assert counts["levels"] == len(kept)
+        oracle = Machine(system=machine.system,
+                         calibration=machine.calibration)
+        assert canonical_json(records) == canonical_json(
+            scalar_gpu_records(oracle, payloads))
+
+    def test_kept_levels_stay_within_their_bounds(self, monkeypatch):
+        # 1 Mi float32 elements summed in float64: a level of 8-element
+        # thread chunks owns exactly LEVEL_CAP_BYTES, smaller chunks own
+        # more.  Five identifiers keep five such levels, one more than
+        # the budget holds, so the first is evicted.
+        machine = Machine(config=ReproConfig(functional_elements_cap=1 << 20))
+        configs = [
+            KernelConfig(teams=1024, v=1, threads=1024),  # 1-element chunks
+            KernelConfig(teams=1024, v=1, threads=512),   # 2-element chunks
+            KernelConfig(teams=1024, v=1, threads=128),   # 8-element chunks
+            KernelConfig(teams=1024, v=2, threads=256),   # 8, shared
         ]
-        refs = []
+        layer = machine.values
+        levels = []
         real = batch._thread_level
 
         def watched(data, kernel, second=None):
-            # Every earlier thread-level array is gone before the next
-            # one is computed.
-            assert all(ref() is None for ref in refs)
+            # A level over the cap is gone before the next one is
+            # computed, in this call or an earlier one.
+            assert all(ref() is None for ref, size in levels
+                       if size > LEVEL_CAP_BYTES)
             level = real(data, kernel, second)
-            refs.append(weakref.ref(level[1]))
+            levels.append((weakref.ref(level[1]), level[1].nbytes))
             return level
 
         monkeypatch.setattr(batch, "_thread_level", watched)
-        evaluate_gpu_slab(machine, payloads)
-        assert len(refs) > 1
-        assert all(ref() is None for ref in refs)
+        payloads = []
+        for op in ("+", "max", "min", "*", "-"):
+            case = _panel_case("float32", "float64", 1 << 15, tag=op)
+            points = [(case, config, 5, True, op) for config in configs]
+            evaluate_gpu_slab(machine, points[:2])
+            for point in points[2:]:
+                evaluate_gpu_slab(machine, [point])
+                assert layer.counts()["level_bytes"] <= LEVEL_BUDGET_BYTES
+            payloads += points
+        counts = layer.counts()
+        assert counts["level_evictions"] == 1
+        assert counts["levels"] == 4
+        assert counts["level_hits"] == 5  # each identifier's shared point
+        assert counts["level_bytes"] == 4 * LEVEL_CAP_BYTES
+        kept = [level for level, _size in layer._levels.values()]
+        assert all(not partials.flags.writeable
+                   for _ufunc, partials, _n in kept)
+        # Every level the layer does not hold, the evicted one included,
+        # has been freed.
+        held = {id(partials) for _ufunc, partials, _n in kept}
+        assert len(levels) == 15
+        assert all(ref() is None or id(ref()) in held for ref, _ in levels)
+        assert sum(ref() is not None for ref, _ in levels) == 4
         assert all(isinstance(value, np.generic)
-                   for value, _verified in machine._slab_value_cache.values())
+                   for value in layer._values.values())
+        oracle = Machine(system=machine.system,
+                         calibration=machine.calibration,
+                         config=machine.config)
+        assert canonical_json(
+            evaluate_gpu_slab(machine, payloads).records()
+        ) == canonical_json(scalar_gpu_records(oracle, payloads))
+
+    def test_a_level_that_is_the_workload_is_not_kept(self):
+        # One element per thread and T == R: the partials are the
+        # workload array itself, so keeping them would only spend the
+        # budget.  Widened to float64 they are a copy, and kept.
+        machine = Machine(config=_CONFIG)
+        config = KernelConfig(teams=4096, v=1, threads=32)
+        for rtype in ("float32", "float64"):
+            case = _panel_case("float32", rtype, 1 << 7, tag="one")
+            evaluate_gpu_slab(machine, [(case, config, 5, True)])
+        counts = machine.values.counts()
+        assert counts["level_misses"] == 2
+        assert counts["levels"] == 1
+        assert counts["level_bytes"] == 8 * _CONFIG.functional_elements_cap
+
+    def test_a_hit_cannot_pass_a_wrong_value(self, monkeypatch):
+        # max over floats verifies exactly, so one ulp is a mismatch.
+        # These two points share one thread level of 8-element chunks.
+        machine = Machine(config=_PANEL_CONFIG)
+        case = _panel_case("float32", "float64", 1 << 16, tag="max")
+        first, second = [
+            (case, KernelConfig(teams=256, v=v, threads=threads), 5, True,
+             "max")
+            for v, threads in ((2, 64), (4, 128))
+        ]
+        evaluate_gpu_slab(machine, [first])
+        before = machine.values.counts()
+        real = batch._team_level
+        monkeypatch.setattr(
+            batch, "_team_level",
+            lambda level, kernel: np.nextafter(real(level, kernel), np.inf))
+        # The thread level and the reference are both hits.
+        with pytest.raises(VerificationError):
+            evaluate_gpu_slab(machine, [second])
+        after = machine.values.counts()
+        assert after["level_hits"] == before["level_hits"] + 1
+        assert after["reference_hits"] == before["reference_hits"] + 1
+        # The rejected value was not stored; an unverified call stores
+        # it, and a verifying call that hits it must still reject it.
+        assert after["values"] == before["values"]
+        evaluate_gpu_slab(machine, [second[:3] + (False, "max")])
+        monkeypatch.setattr(batch, "_team_level", real)
+        with pytest.raises(VerificationError):
+            evaluate_gpu_slab(machine, [second])
+        assert machine.values.counts()["value_hits"] == 1
+
+    def test_threads_sharing_a_machine_match_the_oracle(self):
+        # Four threads price overlapping float panels, one or two points
+        # a call, on one machine whose kept levels overflow the budget.
+        machine = Machine(config=ReproConfig(functional_elements_cap=1 << 18))
+        payloads = [
+            (_panel_case(etype, rtype, 1 << 13, tag=op), config, 5, True, op)
+            for etype, rtype in (("float32", "float64"),
+                                 ("float64", "float64"))
+            for op in ("+", "max", "min", "*")
+            for config in (KernelConfig(teams=256, v=1, threads=512),
+                           KernelConfig(teams=512, v=2, threads=256),
+                           KernelConfig(teams=1024, v=4, threads=64))
+        ]
+        oracle = Machine(system=machine.system,
+                         calibration=machine.calibration,
+                         config=machine.config)
+        expected = dict(zip(payloads, map(canonical_json,
+                                          scalar_gpu_records(oracle,
+                                                             payloads))))
+        orders = [payloads[k:] + payloads[:k] for k in (0, 5, 11, 17)]
+        orders[1].reverse()
+        results = [None] * len(orders)
+
+        def price(i):
+            order, out = orders[i], []
+            for j in range(0, len(order), 1 + i % 2):
+                chunk = order[j:j + 1 + i % 2]
+                out += zip(chunk, evaluate_gpu_slab(machine, chunk).records())
+            results[i] = out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=price, args=(i,))
+                       for i in range(len(orders))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for out in results:
+            assert len(out) == len(payloads)
+            assert all(canonical_json(record) == expected[point]
+                       for point, record in out)
+        counts = machine.values.counts()
+        assert counts["level_evictions"] > 0
+        assert counts["level_bytes"] == sum(
+            size for _level, size in machine.values._levels.values())
+        assert counts["level_bytes"] <= LEVEL_BUDGET_BYTES

@@ -4,6 +4,7 @@ import asyncio
 import json
 
 from repro.service import ReductionService, ServiceHTTPServer, ServiceSettings
+from repro.sim.values import LEVEL_BUDGET_BYTES
 from repro.sweep.executor import SweepExecutor
 from repro.sweep.result_cache import ResultCache
 from repro.telemetry.metrics import MetricsRegistry
@@ -89,6 +90,33 @@ class TestRoutes:
         by_name = {m["name"]: m for m in doc["metrics"]}
         assert by_name["service.requests"]["value"] == 1
         assert by_name["service.computed"]["value"] == 1
+
+    def test_metrics_show_the_value_layer(self, fresh_machine, tmp_path):
+        # Serve-style fresh float points, one request each: the three C3
+        # points share one thread level of 8-element chunks, so later
+        # requests read it from the machine's value layer.
+        points = [("C3", 128, 1, 64), ("C3", 256, 2, 64), ("C3", 512, 4, 64),
+                  ("C4", 1024, 8, 128)]
+
+        async def scenario(server):
+            for case, teams, v, threads in points:
+                status, _, doc = await _roundtrip(
+                    server, "POST", "/simulate",
+                    {"case": case, "teams": teams, "v": v,
+                     "threads": threads})
+                assert (status, doc["source"]) == (200, "computed")
+            return await _roundtrip(server, "GET", "/metrics")
+
+        status, _, doc = _run(fresh_machine, tmp_path, scenario)
+        assert status == 200
+        by_name = {m["name"]: m["value"] for m in doc["metrics"]
+                   if m["name"].startswith("sim.values.")}
+        assert by_name["sim.values.level_hits"] == 2
+        assert by_name["sim.values.level_misses"] == 2
+        assert 0 < by_name["sim.values.level_bytes"] <= LEVEL_BUDGET_BYTES
+        # The service prices its points without verification.
+        assert by_name["sim.values.reference_misses"] == 0
+        assert by_name["sim.values.values"] == len(points)
 
     def test_simulate_ok(self, machine, tmp_path):
         async def scenario(server):
